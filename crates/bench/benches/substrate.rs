@@ -5,8 +5,9 @@
 //! fast path, the trace emit path (enabled vs disabled), and one full
 //! DST seed as the end-to-end harness window (plain and traced).
 //!
-//! `BENCH_PR5.json` records the checked-in medians; the bench CI job
-//! re-runs these in quick mode on every PR.
+//! The bench CI job re-runs these in quick mode on every PR. Comparable
+//! numbers live in the benchmark ledger, `benchmark/LEDGER.ndjson`, whose
+//! `probes` rows carry the same kernels measured from outside.
 
 use std::sync::Arc;
 
@@ -310,7 +311,8 @@ fn bench_trace(c: &mut Criterion) {
 // ---------------------------------------------------------------------
 // End-to-end harness window: one DST seed, moderate intensity. The
 // traced variant measures the full tracing tax (emit + ring + render);
-// the plain one must stay on the BENCH_PR4 baseline.
+// the plain one is the untraced reference, tracked in the benchmark
+// ledger (`benchmark/LEDGER.ndjson`).
 // ---------------------------------------------------------------------
 
 fn bench_e2e_dst_seed(c: &mut Criterion) {

@@ -11,9 +11,9 @@
 //! profile of the run — total and per-suite elapsed time, events
 //! dispatched by the simulator, events/sec, peak RSS, and a latency
 //! section (commit / storage-ack / replica-lag percentiles from one
-//! representative run) — and writes it as JSON. CI compares this profile
-//! against the checked-in `BENCH_PR4.json` to catch substrate
-//! performance regressions.
+//! representative run) — and writes it as JSON. It is a per-run profile
+//! for inspection; the comparable performance record is the benchmark
+//! ledger, `benchmark/LEDGER.ndjson`.
 //!
 //! `--trace DIR` captures a deterministic causal trace of every Aurora
 //! run's measurement window into DIR (Chrome `trace_event` JSON +
@@ -47,7 +47,6 @@ const ALL_SUITES: &[&str] = &[
     "recovery",
     "durability",
     "ablation_quorum",
-    "ablation_group_commit",
     "ablation_cpl",
     "ablation_loss",
     "frontier",
@@ -96,9 +95,6 @@ fn run_suite(name: &str, scale: f64) -> bool {
         }
         "ablation_quorum" => {
             ex::ablation_quorum(scale);
-        }
-        "ablation_group_commit" => {
-            ex::ablation_group_commit(scale);
         }
         "ablation_cpl" => {
             ex::ablation_cpl(scale);
@@ -344,17 +340,16 @@ fn main() {
             json_f64(ls.lag_max_ms)
         ));
         out.push_str("  },\n");
-        // The latency-vs-throughput frontier: adaptive vs fixed ship
-        // policy at equal offered load, the PR6 acceptance measurement.
+        // The latency-vs-throughput frontier: ack and commit latency at
+        // each offered open-loop rate.
         let points = frontier_points.unwrap_or_else(|| ex::frontier(scale));
         out.push_str("  \"frontier\": [\n");
         for (i, pt) in points.iter().enumerate() {
             let comma = if i + 1 == points.len() { "" } else { "," };
             out.push_str(&format!(
-                "    {{\"policy\": \"{}\", \"offered_tps\": {:.0}, \"tps\": {:.0}, \
+                "    {{\"offered_tps\": {:.0}, \"tps\": {:.0}, \
                  \"ack_p50_us\": {}, \"ack_p99_us\": {}, \
                  \"commit_p50_ms\": {}, \"commit_p99_ms\": {}}}{}\n",
-                json_escape(pt.policy),
                 pt.offered_tps,
                 pt.stats.tps,
                 json_f64(pt.stats.ack_p50_us),
@@ -365,19 +360,17 @@ fn main() {
             ));
         }
         out.push_str("  ],\n");
-        // Gray-failure sweep: commit/ack percentiles per retransmit
-        // policy and fault scenario, the PR7 acceptance measurement
-        // (hedged must beat fixed under brownout+loss).
+        // Gray-failure sweep: commit/ack percentiles, retransmits and
+        // hedges per fault scenario.
         let gpoints = grayfail_points.unwrap_or_else(|| ex::grayfail(scale));
         out.push_str("  \"grayfail\": [\n");
         for (i, pt) in gpoints.iter().enumerate() {
             let comma = if i + 1 == gpoints.len() { "" } else { "," };
             out.push_str(&format!(
-                "    {{\"policy\": \"{}\", \"scenario\": \"{}\", \"tps\": {:.0}, \
+                "    {{\"scenario\": \"{}\", \"tps\": {:.0}, \
                  \"ack_p50_us\": {}, \"ack_p99_us\": {}, \
                  \"commit_p50_ms\": {}, \"commit_p99_ms\": {}, \
                  \"retransmits\": {:.0}, \"hedged_ships\": {:.0}}}{}\n",
-                json_escape(pt.policy),
                 json_escape(pt.scenario),
                 pt.stats.tps,
                 json_f64(pt.stats.ack_p50_us),

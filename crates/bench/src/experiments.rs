@@ -8,7 +8,7 @@
 //! EXPERIMENTS.md, smaller for the `cargo bench` smoke suite.
 
 use aurora_baseline::MysqlFlavor;
-use aurora_core::engine::{InstanceSpec, RetransmitPolicy, ShipPolicy};
+use aurora_core::engine::InstanceSpec;
 use aurora_quorum::{mc_quorum_loss, p_double_fault, repair_time_secs, McParams, QuorumConfig};
 use aurora_sim::{BrownoutSpec, FaultPlan, PacketChaos, SimDuration};
 
@@ -811,103 +811,55 @@ pub fn ablation_quorum(scale: f64) -> Vec<(String, RunStats)> {
     out
 }
 
-/// Ablation — group-commit window: commit latency vs throughput vs IOs.
-/// Pinned to the fixed-interval policy: the sweep measures the cadence
-/// itself, which the adaptive policy would bypass at this concurrency.
-pub fn ablation_group_commit(scale: f64) -> Vec<(String, RunStats)> {
-    hdr("Ablation: group-commit window (flush interval)");
-    let mut out = Vec::new();
-    say!(
-        "{:<12} {:>12} {:>14} {:>14}",
-        "window(µs)",
-        "writes/s",
-        "P50 commit ms",
-        "IOs/txn"
-    );
-    for us in [50u64, 200, 500, 2_000] {
-        let mut p = AuroraParams::new(Mix::WriteOnly { writes: 2 });
-        p.rows = 10_000;
-        p.connections = 32; // low concurrency: the window shows in latency
-        p.window = window(scale, 1.5);
-        p.ship_policy = Some(ShipPolicy::FixedInterval);
-        let r = harness::run_aurora_with(
-            &p,
-            |e| {
-                e.flush_interval = SimDuration::from_micros(us);
-            },
-            |_, _| {},
-        );
-        say!(
-            "{:<12} {:>12.0} {:>14.2} {:>14.2}",
-            us,
-            r.wps,
-            r.txn_p50_ms,
-            r.ios_per_txn
-        );
-        out.push((format!("flush-{us}us"), r));
-    }
-    out
-}
-
 /// One measured point on the latency-vs-throughput frontier.
 #[derive(Debug, Clone)]
 pub struct FrontierPoint {
-    pub policy: &'static str,
     /// Offered open-loop arrival rate (txn/s).
     pub offered_tps: f64,
     pub stats: RunStats,
 }
 
-/// Frontier — commit latency vs offered throughput, adaptive group
-/// commit vs the fixed 500µs cadence.
+/// Frontier — ack and commit latency vs offered throughput.
 ///
 /// §4.2.2's asynchronous group commit means the only synchronous work on
-/// the commit path is shipping redo to the 4/6 quorum; the ship policy
-/// decides how long a sealed commit record waits before that ship
-/// starts. Sweeping an open-loop arrival rate (so both policies face the
-/// same offered load) maps each policy's position on the latency/
-/// throughput plane: the fixed cadence pays up to a full window at low
-/// load where the adaptive policy ships immediately, and the two must
-/// converge at saturation where the size cap dominates.
+/// the commit path is shipping redo to the 4/6 quorum; the group-commit
+/// rule decides how long a sealed commit record waits before that ship
+/// starts. Sweeping an open-loop arrival rate maps the engine's position
+/// on the latency/throughput plane: at low load records ship as soon as
+/// they are sealed, and toward saturation the full pipe batches them up
+/// to the size cap or the `flush_interval` deadline.
 pub fn frontier(scale: f64) -> Vec<FrontierPoint> {
-    hdr("Frontier: ack/commit latency vs offered throughput (ship policy)");
+    hdr("Frontier: ack/commit latency vs offered throughput");
     let mut out = Vec::new();
     say!(
         "{:<22} {:>9} {:>11} {:>11} {:>12} {:>12}",
-        "policy @ rate",
+        "offered rate",
         "tps",
         "ack p50 µs",
         "ack p99 µs",
         "commit p50ms",
         "commit p99ms"
     );
-    for (policy, ship) in [
-        ("fixed-500us", ShipPolicy::FixedInterval),
-        ("adaptive", ShipPolicy::Adaptive),
-    ] {
-        for offered in [500.0f64, 2_000.0, 8_000.0, 16_000.0] {
-            let mut p = AuroraParams::new(Mix::WriteOnly { writes: 2 });
-            p.rows = 10_000;
-            p.connections = 128;
-            p.rate = Some(offered);
-            p.ship_policy = Some(ship);
-            p.window = window(scale, 1.5);
-            let stats = harness::run_aurora(&p);
-            say!(
-                "{:<22} {:>9.0} {:>11.1} {:>11.1} {:>12.3} {:>12.3}",
-                format!("{policy} @ {offered:.0}"),
-                stats.tps,
-                stats.ack_p50_us.unwrap_or(f64::NAN),
-                stats.ack_p99_us.unwrap_or(f64::NAN),
-                stats.commit_p50_ms.unwrap_or(f64::NAN),
-                stats.commit_p99_ms.unwrap_or(f64::NAN),
-            );
-            out.push(FrontierPoint {
-                policy,
-                offered_tps: offered,
-                stats,
-            });
-        }
+    for offered in [500.0f64, 2_000.0, 8_000.0, 16_000.0] {
+        let mut p = AuroraParams::new(Mix::WriteOnly { writes: 2 });
+        p.rows = 10_000;
+        p.connections = 128;
+        p.rate = Some(offered);
+        p.window = window(scale, 1.5);
+        let stats = harness::run_aurora(&p);
+        say!(
+            "{:<22.0} {:>9.0} {:>11.1} {:>11.1} {:>12.3} {:>12.3}",
+            offered,
+            stats.tps,
+            stats.ack_p50_us.unwrap_or(f64::NAN),
+            stats.ack_p99_us.unwrap_or(f64::NAN),
+            stats.commit_p50_ms.unwrap_or(f64::NAN),
+            stats.commit_p99_ms.unwrap_or(f64::NAN),
+        );
+        out.push(FrontierPoint {
+            offered_tps: offered,
+            stats,
+        });
     }
     out
 }
@@ -915,33 +867,28 @@ pub fn frontier(scale: f64) -> Vec<FrontierPoint> {
 /// One measured point from the gray-failure sweep.
 #[derive(Debug, Clone)]
 pub struct GrayfailPoint {
-    /// Retransmit policy: `fixed` (legacy 15ms retry) or `hedged`
-    /// (exponential backoff + below-quorum hedging).
-    pub policy: &'static str,
     /// `clean`, `brownout` (one storage node at 8× disk latency), or
     /// `brownout+loss` (same brownout plus 4% global packet drop).
     pub scenario: &'static str,
     pub stats: RunStats,
 }
 
-/// Gray failure — commit latency under a single-node brownout, fixed
-/// retry vs backoff + hedging.
+/// Gray failure — commit latency under a single-node brownout.
 ///
 /// §4.1: with a 4/6 write quorum "we are insensitive to ... a slow disk
 /// or network path" — one browned-out node alone barely moves commit
 /// latency, because every batch reaches quorum on the five healthy
-/// segments. The retransmit policy starts to matter when batches sit
-/// *below* quorum: pairing the brownout with a few percent of global
-/// packet loss produces exactly those batches, and there the fixed 15ms
-/// retry pays a full timeout per lost packet while the hedged policy
-/// re-ships the slowest unacked members early and backs off
-/// exponentially on the browned-out one.
+/// segments. Re-shipping starts to matter when batches sit *below*
+/// quorum: pairing the brownout with a few percent of global packet loss
+/// produces exactly those batches, and there the engine re-ships to the
+/// slowest unacked members early (hedges) and backs off exponentially on
+/// the browned-out one.
 pub fn grayfail(scale: f64) -> Vec<GrayfailPoint> {
-    hdr("Gray failure: commit latency under brownout (retransmit policy)");
+    hdr("Gray failure: commit latency under brownout");
     let mut out = Vec::new();
     say!(
         "{:<26} {:>9} {:>12} {:>12} {:>11} {:>9} {:>8}",
-        "policy / scenario",
+        "scenario",
         "tps",
         "commit p50ms",
         "commit p99ms",
@@ -963,44 +910,34 @@ pub fn grayfail(scale: f64) -> Vec<GrayfailPoint> {
         drop: 0.04,
         ..Default::default()
     };
-    for (policy, rp) in [
-        ("fixed", RetransmitPolicy::Fixed),
-        ("hedged", RetransmitPolicy::Hedged),
-    ] {
-        for scenario in ["clean", "brownout", "brownout+loss"] {
-            let mut p = AuroraParams::new(Mix::WriteOnly { writes: 2 });
-            p.rows = 10_000;
-            p.connections = 128;
-            p.rate = Some(4_000.0);
-            p.retransmit_policy = Some(rp);
-            p.window = win;
-            let mut plan = FaultPlan::new();
-            if scenario != "clean" {
-                plan = plan.brownout_for(onset, dur, browned_node, brownout);
-            }
-            if scenario == "brownout+loss" {
-                plan = plan.packet_chaos_for(onset, dur, loss);
-            }
-            if !plan.entries().is_empty() {
-                p.fault_plan = Some(plan);
-            }
-            let stats = harness::run_aurora(&p);
-            say!(
-                "{:<26} {:>9.0} {:>12.3} {:>12.3} {:>11.1} {:>9.0} {:>8.0}",
-                format!("{policy} / {scenario}"),
-                stats.tps,
-                stats.commit_p50_ms.unwrap_or(f64::NAN),
-                stats.commit_p99_ms.unwrap_or(f64::NAN),
-                stats.ack_p99_us.unwrap_or(f64::NAN),
-                stats.extra["engine.log_write_retransmits"],
-                stats.extra["engine.hedged_ships"],
-            );
-            out.push(GrayfailPoint {
-                policy,
-                scenario,
-                stats,
-            });
+    for scenario in ["clean", "brownout", "brownout+loss"] {
+        let mut p = AuroraParams::new(Mix::WriteOnly { writes: 2 });
+        p.rows = 10_000;
+        p.connections = 128;
+        p.rate = Some(4_000.0);
+        p.window = win;
+        let mut plan = FaultPlan::new();
+        if scenario != "clean" {
+            plan = plan.brownout_for(onset, dur, browned_node, brownout);
         }
+        if scenario == "brownout+loss" {
+            plan = plan.packet_chaos_for(onset, dur, loss);
+        }
+        if !plan.entries().is_empty() {
+            p.fault_plan = Some(plan);
+        }
+        let stats = harness::run_aurora(&p);
+        say!(
+            "{:<26} {:>9.0} {:>12.3} {:>12.3} {:>11.1} {:>9.0} {:>8.0}",
+            scenario,
+            stats.tps,
+            stats.commit_p50_ms.unwrap_or(f64::NAN),
+            stats.commit_p99_ms.unwrap_or(f64::NAN),
+            stats.ack_p99_us.unwrap_or(f64::NAN),
+            stats.extra["engine.log_write_retransmits"],
+            stats.extra["engine.hedged_ships"],
+        );
+        out.push(GrayfailPoint { scenario, stats });
     }
     out
 }
@@ -1182,7 +1119,6 @@ pub fn run_all(scale: f64) {
     recovery(scale);
     durability(scale);
     ablation_quorum(scale);
-    ablation_group_commit(scale);
     ablation_cpl(scale);
     ablation_loss(scale);
     frontier(scale);

@@ -72,13 +72,6 @@ pub struct AuroraParams {
     /// are relative to the measurement window start), replayable
     /// bit-for-bit from the run's seed.
     pub fault_plan: Option<FaultPlan>,
-    /// Group-commit ship policy (None = engine default, the adaptive
-    /// immediate/deadline hybrid).
-    pub ship_policy: Option<aurora_core::engine::ShipPolicy>,
-    /// Retransmit policy (None = engine default, backoff + hedging).
-    pub retransmit_policy: Option<aurora_core::engine::RetransmitPolicy>,
-    /// Base retransmit timeout (None = engine default).
-    pub retransmit_base: Option<SimDuration>,
     /// Derive warmup from the workload instead of running `warmup`
     /// verbatim: warm in slices until every connection has completed at
     /// least one transaction and the completion rate stabilizes, with
@@ -102,9 +95,6 @@ impl AuroraParams {
             quorum: QuorumConfig::aurora(),
             storage_nodes: 6,
             fault_plan: None,
-            ship_policy: None,
-            retransmit_policy: None,
-            retransmit_base: None,
             warmup_auto: false,
         }
     }
@@ -174,8 +164,9 @@ pub struct RunStats {
     pub insert_p95_us: f64,
     /// Write IOs issued by the database node per committed transaction.
     pub ios_per_txn: f64,
-    /// Commit latency distribution (ms): seal-to-durable-ack for write
-    /// transactions (the paper's Fig. 6 measurement). `None` when the
+    /// Commit latency distribution (ms) of write transactions, from the
+    /// transaction's issue to the VDL covering its commit record
+    /// (`engine.commit_ns`: execution plus commit wait). `None` when the
     /// window saw no commits — read-only mixes and wedged runs must not
     /// masquerade as zero-latency ones.
     pub commit_p50_ms: Option<f64>,
@@ -348,15 +339,6 @@ pub fn run_aurora_with(
             e.cpu_per_commit = calib::commit();
             if let Some(bp) = p.buffer_pages {
                 e.instance.buffer_pages = bp;
-            }
-            if let Some(sp) = p.ship_policy {
-                e.ship_policy = sp;
-            }
-            if let Some(rp) = p.retransmit_policy {
-                e.retransmit_policy = rp;
-            }
-            if let Some(rb) = p.retransmit_base {
-                e.retransmit_base = rb;
             }
             tweak(e);
         },

@@ -90,46 +90,6 @@ impl InstanceSpec {
     }
 }
 
-/// When staged redo ships to storage — the group-commit policy.
-///
-/// The paper's §4.2.2 group commit amortizes quorum round-trips, but a
-/// fixed cadence charges every low-load commit up to a full window of
-/// queueing delay it never needed. The adaptive policy ships immediately
-/// while the pipe is idle and falls back to batching only once enough
-/// batches are in flight to absorb the amortization win.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShipPolicy {
-    /// A periodic timer every `flush_interval` ships whatever is staged —
-    /// the original fixed group-commit cadence, kept for A/B comparison.
-    FixedInterval,
-    /// Hybrid immediate/deadline: ship as soon as records stage while
-    /// fewer than `ship_pipeline_depth` batches are in flight; once the
-    /// pipe is full, batch until `max_batch_records` or a one-shot
-    /// `flush_interval` deadline, whichever comes first. Acks draining
-    /// the pipe release the staged batch early, so the system is
-    /// self-clocked under load.
-    Adaptive,
-}
-
-/// How the engine re-ships batches that linger below durability.
-///
-/// §2.2/§4.1: a 4/6 write quorum lets the engine treat *slow* nodes like
-/// *dead* ones. The fixed policy waits out a flat timer before re-shipping
-/// to everyone; the hedged policy backs off per batch (so a browned-out
-/// node is not hammered into a retry storm) and re-ships *early* to the
-/// slowest unacked members when a batch sits below write quorum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetransmitPolicy {
-    /// Flat-interval re-ship every `retransmit_base` to every unacked
-    /// member — the original behavior, kept for A/B comparison.
-    Fixed,
-    /// Exponential backoff (`retransmit_base` doubling up to
-    /// `retransmit_max`, plus seeded jitter) with hedged re-ships: a batch
-    /// below write quorum past `hedge_after` goes to its slowest unacked
-    /// members immediately instead of waiting out the full timer.
-    Hedged,
-}
-
 /// Health classification of one (PG, replica-slot) storage member, as seen
 /// from the engine's ack/nack/timeout stream (§4.1's monitoring loop).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -157,6 +117,20 @@ const HEALTH_STRIKE_CAP: u32 = 16;
 /// A non-healthy member with no strikes for this long resets to healthy
 /// (the fault window ended; convergence oracle relies on this).
 const HEALTH_IDLE_CLEAR: SimDuration = SimDuration::from_secs(1);
+
+/// First backoff step before an outstanding batch is fully re-shipped to
+/// every unacked member; each full retransmit doubles it (plus seeded
+/// jitter of up to a quarter of this) up to [`RETRANSMIT_MAX`].
+const RETRANSMIT_BASE: SimDuration = SimDuration::from_millis(15);
+/// Backoff ceiling for full retransmits.
+const RETRANSMIT_MAX: SimDuration = SimDuration::from_millis(120);
+/// A batch still below write quorum this long after its last (re)ship is
+/// hedged: re-shipped early to just its slowest unacked members.
+const HEDGE_AFTER: SimDuration = SimDuration::from_millis(4);
+/// Per-sweep cap on re-ships (retransmits + hedges) per storage node, so a
+/// brownout cannot trigger a retry storm against the very node that is
+/// struggling.
+const RETRANSMIT_NODE_CAP: usize = 4;
 
 /// Per-(PG, slot) health tracker entry.
 #[derive(Debug, Clone)]
@@ -221,35 +195,16 @@ pub struct EngineConfig {
     pub cpu_per_read: SimDuration,
     /// Extra CPU per commit.
     pub cpu_per_commit: SimDuration,
-    /// Group-commit window: staged records are shipped at least this often
-    /// (the periodic cadence under [`ShipPolicy::FixedInterval`], the
-    /// one-shot deadline under [`ShipPolicy::Adaptive`]).
+    /// Group-commit deadline: once the pipe is full, staged records wait
+    /// at most this long before they ship (a one-shot timer armed by the
+    /// first record that could not ship immediately).
     pub flush_interval: SimDuration,
     /// Ship immediately once this many records are staged.
     pub max_batch_records: usize,
-    /// How the group-commit window closes (see [`ShipPolicy`]).
-    pub ship_policy: ShipPolicy,
-    /// Adaptive policy only: the pipe counts as idle — staged records ship
-    /// with no added delay — while fewer than this many batches are
-    /// outstanding (shipped but not yet durable).
+    /// The pipe counts as idle — staged records ship with no added delay —
+    /// while fewer than this many batches are outstanding (shipped but not
+    /// yet durable).
     pub ship_pipeline_depth: usize,
-    /// Base interval before an outstanding batch is re-shipped (the flat
-    /// interval under [`RetransmitPolicy::Fixed`], the first-backoff step
-    /// under [`RetransmitPolicy::Hedged`]). Was hardcoded to 15ms, which
-    /// silently interacted with `flush_interval` at scale.
-    pub retransmit_base: SimDuration,
-    /// Backoff ceiling under [`RetransmitPolicy::Hedged`].
-    pub retransmit_max: SimDuration,
-    /// How outstanding batches are re-shipped (see [`RetransmitPolicy`]).
-    pub retransmit_policy: RetransmitPolicy,
-    /// Hedged policy only: a batch still below write quorum this long
-    /// after its last (re)ship is hedged — re-shipped early to just the
-    /// slowest unacked members.
-    pub hedge_after: SimDuration,
-    /// Hedged policy only: per-sweep cap on re-ships (retransmits +
-    /// hedges) per storage node, so a brownout cannot trigger a retry
-    /// storm against the very node that is struggling.
-    pub retransmit_node_cap: usize,
     /// Re-issue a storage read after this long.
     pub read_timeout: SimDuration,
     /// Abort a lock waiter after this long (deadlock breaker).
@@ -281,13 +236,7 @@ impl EngineConfig {
             cpu_per_commit: SimDuration::from_micros(30),
             flush_interval: SimDuration::from_micros(500),
             max_batch_records: 256,
-            ship_policy: ShipPolicy::Adaptive,
             ship_pipeline_depth: 4,
-            retransmit_base: SimDuration::from_millis(15),
-            retransmit_max: SimDuration::from_millis(120),
-            retransmit_policy: RetransmitPolicy::Hedged,
-            hedge_after: SimDuration::from_millis(4),
-            retransmit_node_cap: 4,
             read_timeout: SimDuration::from_millis(20),
             lock_wait_timeout: SimDuration::from_millis(100),
             bootstrap_rows: 0,
@@ -368,7 +317,7 @@ struct OutBatch {
     last_sent: SimTime,
     /// Full retransmits so far (drives the exponential backoff).
     attempts: u32,
-    /// Hedged policy: next full-retransmit deadline.
+    /// Next full-retransmit deadline.
     next_retry: SimTime,
     /// A hedge already went out for the current (re)ship cycle; reset by
     /// every full retransmit so each backoff window hedges at most once.
@@ -382,11 +331,11 @@ struct OutBatch {
 /// immediate/deadline split is visible in both forensics and metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ShipReason {
-    /// Adaptive policy, pipe idle: shipped with no added delay.
+    /// Pipe idle: shipped with no added delay.
     Immediate = 0,
     /// `max_batch_records` reached.
     Size = 1,
-    /// Group-commit window closed (periodic tick or one-shot deadline).
+    /// Group-commit deadline fired.
     Deadline = 2,
     /// Forced outside the policy: rollback end, bootstrap, recovery.
     Forced = 3,
@@ -1003,12 +952,9 @@ impl EngineActor {
         if self.stall_ship {
             return; // injected ship-path defect (see `test_stall_ship`)
         }
-        // an adaptive deadline covers only the records staged when it was
-        // armed; shipping them by any other route disarms it (the periodic
-        // fixed-interval timer, by contrast, outlives every ship)
-        if self.cfg.ship_policy == ShipPolicy::Adaptive {
-            self.cancel_flush_timer(ctx);
-        }
+        // a deadline covers only the records staged when it was armed;
+        // shipping them by any other route disarms it
+        self.cancel_flush_timer(ctx);
         match reason {
             ShipReason::Immediate => ctx.inc_id(ids.ship_immediate, 1),
             ShipReason::Size => ctx.inc_id(ids.ship_size, 1),
@@ -1068,7 +1014,7 @@ impl EngineActor {
                 acked: HashSet::default(),
                 last_sent: ctx.now(),
                 attempts: 0,
-                next_retry: ctx.now() + self.cfg.retransmit_base,
+                next_retry: ctx.now() + RETRANSMIT_BASE,
                 hedged: false,
                 span,
             },
@@ -1092,36 +1038,31 @@ impl EngineActor {
         ctx.inc_id(ids.records_shipped, record_count as u64);
     }
 
-    /// The ship-policy decision point, run after every staging step (and
+    /// The group-commit decision point, run after every staging step (and
     /// after acks drain the pipe, so freed slots release staged records
-    /// without waiting out the deadline).
+    /// without waiting out the deadline). §4.2.2 group commit amortizes
+    /// quorum round-trips, but only once the pipe is busy: while fewer than
+    /// `ship_pipeline_depth` batches are in flight, records ship at once;
+    /// after that they batch until `max_batch_records` or the one-shot
+    /// `flush_interval` deadline, whichever comes first. Acks draining the
+    /// pipe release the staged batch early, so the path is self-clocked.
     fn maybe_flush(&mut self, ctx: &mut Ctx<'_>) {
         if self.staging.is_empty() {
             return;
         }
         if self.staging.len() >= self.cfg.max_batch_records {
             self.flush_staging(ctx, ShipReason::Size);
-            return;
-        }
-        match self.cfg.ship_policy {
-            // the periodic TAG_FLUSH tick ships it
-            ShipPolicy::FixedInterval => {}
-            ShipPolicy::Adaptive => {
-                if self.outstanding.len() < self.cfg.ship_pipeline_depth {
-                    self.flush_staging(ctx, ShipReason::Immediate);
-                } else {
-                    // pipe full: hold for the size cap or the deadline
-                    self.arm_flush_timer(ctx);
-                }
-            }
+        } else if self.outstanding.len() < self.cfg.ship_pipeline_depth {
+            self.flush_staging(ctx, ShipReason::Immediate);
+        } else {
+            // pipe full: hold for the size cap or the deadline
+            self.arm_flush_timer(ctx);
         }
     }
 
-    /// Arm the group-commit timer unless one is already armed. The
-    /// armed-guard fixes a long-standing double-timer bug: Start,
-    /// Restarted and Promote each blindly armed TAG_FLUSH, so a standby
-    /// that was promoted after a restart ticked twice per interval —
-    /// spurious extra flush ticks that changed batching per seed.
+    /// Arm the group-commit deadline unless one is already armed, so
+    /// re-entering the ready path after recovery or failover can never
+    /// stack a second flush timer.
     fn arm_flush_timer(&mut self, ctx: &mut Ctx<'_>) {
         if self.flush_timer.is_none() {
             self.flush_timer = Some(ctx.set_timer(self.cfg.flush_interval, TAG_FLUSH));
@@ -1845,7 +1786,7 @@ impl EngineActor {
 
     fn sweep(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
-        self.retransmit_stale(ctx, now);
+        self.retransmit_hedged(ctx, now);
         self.decay_health(ctx, now);
         let mut timed_out: Vec<u64> = self
             .running
@@ -1907,88 +1848,33 @@ impl EngineActor {
         );
     }
 
-    /// Re-ship batches that have waited too long without reaching
-    /// durability — covers storage nodes that were down (an AZ outage) or
-    /// lost the delivery. Idempotent at the receiver (duplicate records
-    /// are ignored; the ack is regenerated — a batch already covered by
-    /// the durable prefix is fast-acked without a disk write).
-    fn retransmit_stale(&mut self, ctx: &mut Ctx<'_>, now: SimTime) {
-        match self.cfg.retransmit_policy {
-            RetransmitPolicy::Fixed => self.retransmit_fixed(ctx, now),
-            RetransmitPolicy::Hedged => self.retransmit_hedged(ctx, now),
-        }
-    }
-
-    /// The original flat-interval policy, kept bit-for-bit for A/B runs:
-    /// every batch older than `retransmit_base` is re-shipped to every
-    /// unacked member, no backoff, no health feedback.
-    fn retransmit_fixed(&mut self, ctx: &mut Ctx<'_>, now: SimTime) {
-        let retry_after = self.cfg.retransmit_base;
-        let stale: Vec<Lsn> = self
-            .outstanding
-            .iter()
-            .filter(|(_, b)| now.since(b.last_sent) > retry_after)
-            .map(|(l, _)| *l)
-            .take(32)
-            .collect();
-        for batch_end in stale {
-            let vdl = self.tracker.vdl();
-            let pgmrpl = self.pgmrpl();
-            let epoch = self.epoch;
-            let Some(ob) = self.outstanding.get(&batch_end) else {
-                continue;
-            };
-            let mut sends: Vec<(NodeId, swire::WriteBatch)> = Vec::new();
-            for (pg, recs) in &ob.by_pg {
-                let m = self.membership(*pg);
-                for (slot, node) in m.slots.iter().enumerate() {
-                    if ob.acked.contains(&(pg.0, slot as u8)) {
-                        continue;
-                    }
-                    // Re-reference the originally shipped slice; only the
-                    // watermark piggybacks (epoch/vdl/pgmrpl) are rebuilt,
-                    // because they must reflect *current* state on resend.
-                    sends.push((
-                        *node,
-                        swire::WriteBatch {
-                            segment: SegmentId::new(*pg, slot as u8),
-                            records: Arc::clone(recs),
-                            batch_end,
-                            epoch,
-                            vdl,
-                            pgmrpl,
-                        },
-                    ));
-                }
-            }
-            for (node, wb) in sends {
-                ctx.inc("engine.log_write_retransmits", 1);
-                ctx.send(node, wb);
-            }
-            self.outstanding.get_mut(&batch_end).unwrap().last_sent = now;
-        }
-    }
-
     /// Exponential backoff for the current attempt count, plus seeded
     /// jitter of up to a quarter of the base interval so retransmit waves
     /// across batches de-synchronize deterministically.
     fn backoff_delay(&mut self, ctx: &mut Ctx<'_>, attempts: u32) -> SimDuration {
-        let base = self.cfg.retransmit_base.nanos().max(1);
-        let exp = base.saturating_mul(1u64 << attempts.min(6));
-        let capped = exp.min(self.cfg.retransmit_max.nanos().max(base));
+        let base = RETRANSMIT_BASE.nanos();
+        let capped = base
+            .saturating_mul(1u64 << attempts.min(6))
+            .min(RETRANSMIT_MAX.nanos());
         let jitter = ctx.rng().range_u64(0, base / 4 + 1);
         SimDuration::from_nanos(capped + jitter)
     }
 
-    /// Backoff + hedging. Two passes over the outstanding window, sharing
-    /// one per-node re-ship budget:
+    /// Re-ship batches that have waited too long without reaching
+    /// durability — covers storage nodes that were down (an AZ outage),
+    /// slow (a brownout) or lost the delivery. Idempotent at the receiver
+    /// (duplicate records are ignored; the ack is regenerated — a batch
+    /// already covered by the durable prefix is fast-acked without a disk
+    /// write). §2.2/§4.1: a 4/6 write quorum lets the engine treat *slow*
+    /// nodes like *dead* ones. Two passes over the outstanding window,
+    /// sharing one per-node re-ship budget:
     ///
     /// 1. **Full retransmits** — batches past their backoff deadline are
     ///    re-shipped to every unacked member; each such member takes a
     ///    health strike (it sat on a delivery for a whole backoff window)
     ///    and the deadline doubles, so a browned-out node sees
     ///    geometrically *fewer* re-ships the longer it lags.
-    /// 2. **Hedges** — a batch still below write quorum `hedge_after`
+    /// 2. **Hedges** — a batch still below write quorum [`HEDGE_AFTER`]
     ///    past its last (re)ship gets an early re-ship to just the slowest
     ///    (highest ack-EWMA) unacked members of the short PG — §2.2's
     ///    "treat slow like dead" without waiting out the timer. Hedges do
@@ -1997,7 +1883,6 @@ impl EngineActor {
     fn retransmit_hedged(&mut self, ctx: &mut Ctx<'_>, now: SimTime) {
         let ids = self.hot(ctx);
         let mut node_budget: BTreeMap<NodeId, usize> = BTreeMap::new();
-        let cap = self.cfg.retransmit_node_cap.max(1);
 
         // pass 1: full retransmits past the backoff deadline
         let due: Vec<Lsn> = self
@@ -2024,7 +1909,7 @@ impl EngineActor {
                     }
                     strikes.push(SegmentId::new(*pg, slot as u8));
                     let used = node_budget.entry(*node).or_insert(0);
-                    if *used >= cap {
+                    if *used >= RETRANSMIT_NODE_CAP {
                         continue; // budget spent: strike, but do not pile on
                     }
                     *used += 1;
@@ -2066,7 +1951,7 @@ impl EngineActor {
             .outstanding
             .iter()
             .filter(|(_, b)| {
-                !b.hedged && now < b.next_retry && now.since(b.last_sent) > self.cfg.hedge_after
+                !b.hedged && now < b.next_retry && now.since(b.last_sent) > HEDGE_AFTER
             })
             .map(|(l, _)| *l)
             .take(32)
@@ -2104,7 +1989,7 @@ impl EngineActor {
                 lagging.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
                 for (_, slot, node) in lagging.into_iter().take(write_quorum - acks) {
                     let used = node_budget.entry(node).or_insert(0);
-                    if *used >= cap {
+                    if *used >= RETRANSMIT_NODE_CAP {
                         continue;
                     }
                     *used += 1;
@@ -2809,9 +2694,6 @@ impl Actor for EngineActor {
                     return;
                 }
                 self.bootstrap(ctx);
-                if self.cfg.ship_policy == ShipPolicy::FixedInterval {
-                    self.arm_flush_timer(ctx);
-                }
                 ctx.set_timer(SimDuration::from_millis(5), TAG_SWEEP);
             }
             ActorEvent::Restarted => {
@@ -2819,9 +2701,6 @@ impl Actor for EngineActor {
                     return; // unpromoted standby: still idle after a blip
                 }
                 self.start_recovery(ctx);
-                if self.cfg.ship_policy == ShipPolicy::FixedInterval {
-                    self.arm_flush_timer(ctx);
-                }
                 ctx.set_timer(SimDuration::from_millis(5), TAG_SWEEP);
             }
             ActorEvent::Timer { tag } => match tag {
@@ -2832,9 +2711,6 @@ impl Actor for EngineActor {
                     ctx.inc("engine.flush_ticks", 1);
                     self.flush_timer = None;
                     self.flush_staging(ctx, ShipReason::Deadline);
-                    if self.cfg.ship_policy == ShipPolicy::FixedInterval {
-                        self.arm_flush_timer(ctx);
-                    }
                 }
                 TAG_SWEEP => {
                     self.sweep(ctx);
@@ -2876,9 +2752,6 @@ impl Actor for EngineActor {
                             // unacknowledged tail and rejects its future
                             // writes)
                             self.start_recovery(ctx);
-                            if self.cfg.ship_policy == ShipPolicy::FixedInterval {
-                                self.arm_flush_timer(ctx);
-                            }
                             ctx.set_timer(SimDuration::from_millis(5), TAG_SWEEP);
                         }
                         return;

@@ -47,9 +47,7 @@ pub mod wire;
 pub use btree::{BTree, BTreeError, PageEditor, PageMiss, PageProvider, TreeMeta};
 pub use buffer::BufferPool;
 pub use cluster::{Cluster, ClusterConfig, Shard, ShardedCluster, ShardedConfig};
-pub use engine::{
-    EngineActor, EngineConfig, EngineStatus, HealthState, InstanceSpec, RetransmitPolicy,
-};
+pub use engine::{EngineActor, EngineConfig, EngineStatus, HealthState, InstanceSpec};
 pub use locks::{LockOutcome, LockTable};
 pub use proxy::{HashRing, ProxyActor, ProxyConfig};
 pub use replica::{ReplicaActor, ReplicaConfig};

@@ -1,11 +1,11 @@
-//! Commit-path regression tests for the adaptive group-commit work: the
-//! flush-timer armed-guard (no doubled cadence across failover), ack
-//! latency attribution under packet chaos (retransmits must not smear the
-//! histogram, duplicated acks must not inflate it), the adaptive policy's
-//! idle-pipe fast path, and bit-identical replay of the new timer logic.
+//! Commit-path regression tests for group commit: the flush-timer
+//! armed-guard (no doubled deadline across failover), ack latency
+//! attribution under packet chaos (retransmits must not smear the
+//! histogram, duplicated acks must not inflate it), the idle-pipe fast
+//! path, and bit-identical replay of the timer logic.
 
 use aurora::core::cluster::{Cluster, ClusterConfig};
-use aurora::core::engine::{EngineActor, EngineStatus, ShipPolicy};
+use aurora::core::engine::{EngineActor, EngineStatus};
 use aurora::core::wire::{Op, Promote, TxnResult, TxnSpec};
 use aurora::log::{Lsn, PgId, SegmentId};
 use aurora::quorum::VolumeEpoch;
@@ -18,15 +18,32 @@ fn value_of(version: u64) -> Vec<u8> {
     v
 }
 
+/// Submit two single-upsert transactions per simulated millisecond for
+/// `ms` milliseconds: a steady trickle that keeps the pipe busy.
+fn trickle(c: &mut Cluster, conn: &mut u64, ms: u64) {
+    for _ in 0..ms {
+        for _ in 0..2 {
+            *conn += 1;
+            c.submit(
+                *conn,
+                TxnSpec::single(Op::Upsert(*conn % 1_024, value_of(*conn))),
+            );
+        }
+        c.sim.run_for(SimDuration::from_millis(1));
+    }
+}
+
 /// Regression for the double-armed flush timer: Start, Restarted and
 /// Promote each used to arm TAG_FLUSH unconditionally, so a writer that
-/// was fenced to standby and promoted back ran **two** periodic flush
-/// chains — double the tick cadence, different batching per seed. The
-/// armed-guard must keep the cadence flat across the fence/promote cycle.
+/// was fenced to standby and promoted back could hold **two** flush
+/// timers — extra ticks, different batching per seed. With a one-batch
+/// pipe a steady trickle arms the group-commit deadline over and over;
+/// the armed-guard must keep the tick rate flat across the fence/promote
+/// cycle, and the deadline must stop firing once the load stops.
 #[test]
 fn promote_after_fence_does_not_double_arm_the_flush_timer() {
     let mut c = Cluster::build_with(ClusterConfig::default(), |e| {
-        e.ship_policy = ShipPolicy::FixedInterval;
+        e.ship_pipeline_depth = 1;
     });
     c.sim.run_for(SimDuration::from_millis(300));
     assert_eq!(
@@ -34,16 +51,17 @@ fn promote_after_fence_does_not_double_arm_the_flush_timer() {
         EngineStatus::Ready
     );
 
-    let ticks_over_100ms = |c: &mut Cluster| {
+    let mut conn = 0u64;
+    let mut ticks_over_300ms = |c: &mut Cluster| {
         let before = c.sim.metrics.counter_total("engine.flush_ticks");
-        c.sim.run_for(SimDuration::from_millis(100));
+        trickle(c, &mut conn, 300);
         c.sim.metrics.counter_total("engine.flush_ticks") - before
     };
-    let baseline = ticks_over_100ms(&mut c);
-    assert!(baseline > 0, "fixed-interval flush timer must tick");
+    ticks_over_300ms(&mut c); // reach steady state
+    let baseline = ticks_over_300ms(&mut c);
+    assert!(baseline > 0, "a full pipe must arm the flush deadline");
 
-    // a newer writer owns the volume: fence this one down to standby (its
-    // periodic flush chain keeps ticking — the timer outlives the status)
+    // a newer writer owns the volume: fence this one down to standby
     c.sim.tell(
         c.engine,
         aurora::storage::wire::WriteFenced {
@@ -58,7 +76,7 @@ fn promote_after_fence_does_not_double_arm_the_flush_timer() {
         EngineStatus::Standby
     );
 
-    // ... and promote it back: pre-guard this armed a second chain
+    // ... and promote it back: pre-guard this could arm a second timer
     c.sim.tell(c.engine, Promote);
     let mut ready = false;
     for _ in 0..400 {
@@ -70,15 +88,26 @@ fn promote_after_fence_does_not_double_arm_the_flush_timer() {
     }
     assert!(ready, "promoted writer must recover to Ready");
 
-    let after = ticks_over_100ms(&mut c);
+    ticks_over_300ms(&mut c); // reach steady state again
+    let after = ticks_over_300ms(&mut c);
     assert!(
         after <= baseline + baseline / 10,
         "flush cadence grew after fence/promote (double-armed timer): \
-         {baseline} ticks/100ms before, {after} after"
+         {baseline} ticks/300ms before, {after} after"
     );
     assert!(
         after + baseline / 10 >= baseline,
-        "flush chain died across fence/promote: {baseline} -> {after}"
+        "flush deadline stopped arming across fence/promote: {baseline} -> {after}"
+    );
+
+    // load stops: once the pipe drains the deadline is never re-armed
+    c.sim.run_for(SimDuration::from_millis(100));
+    let idle = c.sim.metrics.counter_total("engine.flush_ticks");
+    c.sim.run_for(SimDuration::from_millis(100));
+    assert_eq!(
+        c.sim.metrics.counter_total("engine.flush_ticks"),
+        idle,
+        "flush timer kept ticking with nothing staged"
     );
 }
 
@@ -150,56 +179,51 @@ fn ack_latency_attribution_survives_drops_and_duplicates() {
     );
 }
 
-/// The adaptive policy's reason for existing: an idle pipe ships a lone
-/// commit immediately instead of waiting out the group-commit deadline.
-/// With a deliberately huge flush interval the difference is stark.
+/// An idle pipe ships a lone commit immediately instead of waiting out
+/// the group-commit deadline, which is set deliberately long here so a
+/// wait would be unmistakable.
 #[test]
 fn adaptive_policy_ships_idle_commits_without_deadline_wait() {
-    fn lone_commit_latency_ns(policy: ShipPolicy) -> u64 {
-        let mut c = Cluster::build_with(
-            ClusterConfig {
-                seed: 7,
-                bootstrap_rows: 0,
-                ..Default::default()
-            },
-            move |e| {
-                e.ship_policy = policy;
-                e.flush_interval = SimDuration::from_millis(20);
-            },
-        );
-        c.sim.run_for(SimDuration::from_millis(300));
-        c.submit(1, TxnSpec::single(Op::Upsert(1, value_of(1))));
-        c.sim.run_for(SimDuration::from_millis(100));
-        let rs = c.responses();
-        let resp = rs.first().expect("commit response");
-        assert!(matches!(resp.result, TxnResult::Committed(_)));
-        let h = c.sim.metrics.histogram_total("engine.commit_ns");
-        assert_eq!(h.count(), 1);
-        h.max()
-    }
-
-    let fixed = lone_commit_latency_ns(ShipPolicy::FixedInterval);
-    let adaptive = lone_commit_latency_ns(ShipPolicy::Adaptive);
+    let mut c = Cluster::build_with(
+        ClusterConfig {
+            seed: 7,
+            bootstrap_rows: 0,
+            ..Default::default()
+        },
+        |e| {
+            e.flush_interval = SimDuration::from_millis(20);
+        },
+    );
+    c.sim.run_for(SimDuration::from_millis(300));
+    let count = |c: &Cluster, name: &'static str| c.sim.metrics.counter_total(name);
+    let immediate = count(&c, "engine.ship_immediate");
+    let deadline = count(&c, "engine.ship_deadline");
+    c.submit(1, TxnSpec::single(Op::Upsert(1, value_of(1))));
+    c.sim.run_for(SimDuration::from_millis(100));
+    let rs = c.responses();
+    let resp = rs.first().expect("commit response");
+    assert!(matches!(resp.result, TxnResult::Committed(_)));
+    let h = c.sim.metrics.histogram_total("engine.commit_ns");
+    assert_eq!(h.count(), 1);
     assert!(
-        fixed > SimDuration::from_millis(5).nanos(),
-        "fixed-interval lone commit should wait on the 20ms deadline, took {}us",
-        fixed / 1_000
+        h.max() < SimDuration::from_millis(5).nanos(),
+        "lone commit must ship immediately, took {}us",
+        h.max() / 1_000
     );
     assert!(
-        adaptive < SimDuration::from_millis(5).nanos(),
-        "adaptive lone commit must ship immediately, took {}us",
-        adaptive / 1_000
+        count(&c, "engine.ship_immediate") > immediate,
+        "the lone commit must leave on the idle-pipe path"
     );
-    assert!(
-        adaptive * 4 < fixed,
-        "adaptive ({adaptive}ns) should be far below fixed ({fixed}ns)"
+    assert_eq!(
+        count(&c, "engine.ship_deadline"),
+        deadline,
+        "nothing may wait out the group-commit deadline"
     );
 }
 
-/// Same seed => bit-identical run under the **adaptive** policy with a
-/// pipeline depth of 1 — the configuration that maximally exercises the
-/// new timer logic (immediate ships, deadline arms, ack-drain re-flushes,
-/// timer cancels). Both ship reasons must actually fire, and every
+/// Same seed => bit-identical run with a pipeline depth of 1 — the
+/// configuration that maximally exercises the group-commit timer logic
+/// (immediate ships, deadline arms, ack-drain re-flushes, timer cancels). Both ship reasons must actually fire, and every
 /// per-node counter must replay exactly.
 #[test]
 fn adaptive_timer_logic_replays_bit_identically() {
@@ -212,7 +236,6 @@ fn adaptive_timer_logic_replays_bit_identically() {
                 ..Default::default()
             },
             |e| {
-                e.ship_policy = ShipPolicy::Adaptive;
                 e.ship_pipeline_depth = 1;
             },
         );

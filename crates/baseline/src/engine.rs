@@ -1,7 +1,8 @@
 //! The traditional MySQL/InnoDB-style engine.
 //!
-//! Shares the B+-tree, buffer pool, and lock table with `aurora-core`, but
-//! does IO the way Figure 2 describes:
+//! Runs the transaction executor of `aurora-core` (`aurora_core::txn`:
+//! the same B+-tree, buffer pool, row locks, undo and rollback as Aurora)
+//! as one of its two backends, and does IO the way Figure 2 describes:
 //!
 //! * commits require the redo log *and* binlog durably on EBS, and — in
 //!   the mirrored configuration — shipped synchronously to the standby's
@@ -22,16 +23,15 @@
 
 use std::collections::VecDeque;
 
+use aurora_core::engine::{bootstrap_row, InstanceSpec};
+use aurora_core::txn::{
+    decode_undo, PoolProvider, RunningTxn, TxnBackend, TxnCore, TxnMetricNames, TxnParams,
+    TAG_CPU_BASE,
+};
+use aurora_core::wire::{ClientRequest, ClientResponse, Op, TxnResult};
+use aurora_log::{LogRecord, Lsn, Page, PageId, PgId, RecordBody, TxnId};
 use aurora_sim::hash::FxHashMap as HashMap;
-
-use aurora_core::btree::{BTree, BTreeError, PageEditor, PageMiss, PageProvider, TreeMeta};
-use aurora_core::buffer::BufferPool;
-use aurora_core::engine::InstanceSpec;
-use aurora_core::locks::{LockOutcome, LockTable};
-use aurora_core::wire::{ClientRequest, ClientResponse, Op, OpResult, TxnResult, TxnSpec};
-use aurora_log::{LogRecord, Lsn, Page, PageId, Patch, PgId, RecordBody, TxnId};
 use aurora_sim::{Actor, ActorEvent, Ctx, NodeId, SimDuration, SimTime, Tag};
-use bytes::Bytes;
 
 use crate::wire::*;
 
@@ -40,7 +40,6 @@ const TAG_SWEEP: Tag = 2;
 const TAG_REPLAY_DONE: Tag = 3;
 const TAG_BOOTSTRAP: Tag = 4;
 const TAG_MUTEX_BASE: Tag = 1 << 46;
-const TAG_CPU_BASE: Tag = 1 << 48;
 
 /// Which MySQL the baseline imitates (§6.1 compares 5.6 and 5.7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,44 +133,33 @@ impl MysqlConfig {
     }
 }
 
-#[derive(Debug)]
-enum Phase {
-    Cpu,
-    PageWait,
-    LockWait { key: u64, since: SimTime },
-    EvictWait,
-}
-
-struct RunningTxn {
-    conn: u64,
-    client: NodeId,
-    issued_at: SimTime,
-    spec: TxnSpec,
-    pc: usize,
-    results: Vec<OpResult>,
-    txn: TxnId,
-    phase: Phase,
-    op_started: SimTime,
-    undo_ops: Vec<Op>,
-    wrote: bool,
-    rollback: bool,
-}
-
-struct CommitWaiter {
-    conn: u64,
-    client: NodeId,
-    issued_at: SimTime,
-    results: Vec<OpResult>,
-    txn: TxnId,
-    #[allow(dead_code)]
-    commit_lsn: Lsn,
-}
+/// The executor's metric names on the MySQL engine.
+static MYSQL_TXN_METRICS: TxnMetricNames = TxnMetricNames {
+    txn_ns: "mysql.txn_ns",
+    commit_ns: "mysql.commit_ns",
+    commits: "mysql.commits",
+    read_txns: "mysql.read_txns",
+    write_txns: "mysql.write_txns",
+    aborts: "mysql.aborts",
+    rollback_errors: "mysql.rollback_errors",
+    lock_waits: "mysql.lock_waits",
+    lock_timeouts: "mysql.lock_timeouts",
+    // never fires: the local log buffer has no allocation limit
+    lal_stalls: "mysql.lal_stalls",
+    select_ns: "mysql.select_ns",
+    scan_ns: "mysql.scan_ns",
+    insert_ns: "mysql.insert_ns",
+    update_ns: "mysql.update_ns",
+    delete_ns: "mysql.delete_ns",
+};
 
 /// One in-flight commit-chain round.
 struct FlushRound {
     /// 0 = waiting log ack, 1 = waiting binlog ack, 2 = waiting standby.
     stage: u8,
-    commits: Vec<CommitWaiter>,
+    /// Sealed transactions riding this round; they hold their locks until
+    /// it completes.
+    commits: Vec<RunningTxn>,
     bytes: usize,
 }
 
@@ -180,39 +168,31 @@ struct PendingRead {
     conns: Vec<u64>,
 }
 
-enum PendingEvict {
-    /// waiting for (doublewrite, page) acks; then retry the conns
-    Flush {
-        remaining: u8,
-        #[allow(dead_code)]
-        victim: PageId,
-        conns: Vec<u64>,
-        checkpoint: bool,
-    },
+/// A page write-out waiting for its (doublewrite, in-place) acks.
+struct PendingFlush {
+    remaining: u8,
+    /// Connections parked on a foreground eviction, resumed on completion.
+    conns: Vec<u64>,
+    checkpoint: bool,
 }
 
 pub struct MysqlEngine {
     cfg: MysqlConfig,
-    tree: BTree,
+    /// The shared executor: buffer pool, locks, running transactions.
+    txn: TxnCore,
     // ---- survives crash (the checkpoint record lives in the log header)
     durable_checkpoint: Lsn,
     // ---- volatile
     status: Status,
-    pool: BufferPool,
     next_lsn: u64,
     log_buffer: Vec<LogRecord>,
     log_buffer_bytes: usize,
-    commit_queue: VecDeque<CommitWaiter>,
+    commit_queue: VecDeque<RunningTxn>,
     flush: Option<FlushRound>,
-    locks: LockTable,
-    running: HashMap<u64, RunningTxn>,
-    next_txn: u64,
     next_req: u64,
-    next_synthetic: u64,
     reads: HashMap<u64, PendingRead>,
     page_waits: HashMap<PageId, u64>,
-    evictions: HashMap<u64, PendingEvict>,
-    vcpu_free: Vec<SimTime>,
+    flushes: HashMap<u64, PendingFlush>,
     redo_since_checkpoint: u64,
     checkpoint_active: bool,
     checkpoint_queue: Vec<PageId>,
@@ -233,135 +213,19 @@ enum Status {
     Recovering,
 }
 
-// ---- provider over the traditional buffer pool ----
-
-struct MysqlProvider<'a> {
-    pool: &'a mut BufferPool,
-    bodies: Vec<RecordBody>,
-}
-
-impl<'a> PageProvider for MysqlProvider<'a> {
-    fn read(&mut self, id: PageId) -> Result<&Page, PageMiss> {
-        if self.pool.get(id).is_some() {
-            Ok(self.pool.peek(id).unwrap())
-        } else {
-            Err(PageMiss(id))
-        }
-    }
-
-    fn write(
-        &mut self,
-        id: PageId,
-        f: &mut dyn FnMut(&mut PageEditor<'_>),
-    ) -> Result<(), PageMiss> {
-        let Some(page) = self.pool.get_mut(id) else {
-            return Err(PageMiss(id));
-        };
-        let mut patches = Vec::new();
-        {
-            let mut editor = PageEditor::new(page, &mut patches);
-            f(&mut editor);
-        }
-        if !patches.is_empty() {
-            self.bodies.push(RecordBody::PageWrite {
-                page: id,
-                patches: patches
-                    .into_iter()
-                    .map(|(offset, before, after)| Patch {
-                        offset,
-                        before: Bytes::from(before),
-                        after: Bytes::from(after),
-                    })
-                    .collect(),
-            });
-        }
-        Ok(())
-    }
-
-    fn allocate(&mut self) -> Result<PageId, PageMiss> {
-        let off = aurora_core::btree::OFF_META_NEXT_FREE;
-        let next = {
-            let meta = self.pool.get(PageId(0)).ok_or(PageMiss(PageId(0)))?;
-            let stored = u64::from_le_bytes(meta.bytes()[off..off + 8].try_into().unwrap());
-            stored.max(1)
-        };
-        let id = PageId(next);
-        self.write(PageId(0), &mut |e| {
-            e.set_u64(off, next + 1);
-        })?;
-        self.bodies.push(RecordBody::PageFormat {
-            page: id,
-            init: Bytes::new(),
-        });
-        self.pool.insert_unchecked(id, Page::new());
-        Ok(id)
-    }
-}
-
-enum ExecStall {
-    Miss(PageId),
-    Abort(String),
-}
-
-fn stall_from(e: BTreeError) -> ExecStall {
-    match e {
-        BTreeError::Miss(m) => ExecStall::Miss(m.0),
-        other => ExecStall::Abort(other.to_string()),
-    }
-}
-
-fn fit_row(v: &[u8], row_size: usize) -> Vec<u8> {
-    let mut row = vec![0u8; row_size];
-    let n = v.len().min(row_size);
-    row[..n].copy_from_slice(&v[..n]);
-    row
-}
-
-fn encode_undo(op: &Op) -> Bytes {
-    // same layout as aurora-core's undo encoding, txn id prepended by caller
-    let mut out = Vec::with_capacity(32);
-    match op {
-        Op::Insert(k, v) => {
-            out.push(0);
-            out.extend_from_slice(&k.to_le_bytes());
-            out.extend_from_slice(v);
-        }
-        Op::Update(k, v) => {
-            out.push(1);
-            out.extend_from_slice(&k.to_le_bytes());
-            out.extend_from_slice(v);
-        }
-        Op::Delete(k) => {
-            out.push(2);
-            out.extend_from_slice(&k.to_le_bytes());
-        }
-        _ => unreachable!(),
-    }
-    Bytes::from(out)
-}
-
-fn decode_undo(data: &[u8]) -> Option<Op> {
-    if data.len() < 9 {
-        return None;
-    }
-    let tag = data[0];
-    let k = u64::from_le_bytes(data[1..9].try_into().ok()?);
-    Some(match tag {
-        0 => Op::Insert(k, data[9..].to_vec()),
-        1 => Op::Update(k, data[9..].to_vec()),
-        2 => Op::Delete(k),
-        _ => return None,
-    })
-}
-
 impl MysqlEngine {
     pub fn new(cfg: MysqlConfig) -> Self {
-        let tree = BTree::new(TreeMeta::for_row_size(cfg.row_size, PageId(0)));
-        let pool = BufferPool::new(cfg.instance.buffer_pages);
-        let vcpus = cfg.instance.vcpus as usize;
+        let params = TxnParams {
+            row_size: cfg.row_size,
+            vcpus: cfg.instance.vcpus as usize,
+            buffer_pages: cfg.instance.buffer_pages,
+            cpu_per_op: cfg.cpu_per_op,
+            cpu_per_read: cfg.cpu_per_read,
+            cpu_per_commit: cfg.cpu_per_commit,
+            lock_wait_timeout: cfg.lock_wait_timeout,
+        };
         MysqlEngine {
-            tree,
-            pool,
+            txn: TxnCore::new(params, &MYSQL_TXN_METRICS),
             durable_checkpoint: Lsn::ZERO,
             status: Status::Bootstrapping,
             next_lsn: 1,
@@ -369,15 +233,10 @@ impl MysqlEngine {
             log_buffer_bytes: 0,
             commit_queue: VecDeque::new(),
             flush: None,
-            locks: LockTable::new(),
-            running: HashMap::default(),
-            next_txn: 1,
             next_req: 1,
-            next_synthetic: 1 << 40,
             reads: HashMap::default(),
             page_waits: HashMap::default(),
-            evictions: HashMap::default(),
-            vcpu_free: vec![SimTime::ZERO; vcpus],
+            flushes: HashMap::default(),
             redo_since_checkpoint: 0,
             checkpoint_active: false,
             checkpoint_queue: Vec::new(),
@@ -397,6 +256,29 @@ impl MysqlEngine {
         self.status == Status::Ready
     }
 
+    /// Admit a client transaction into the executor, or refuse it while
+    /// recovery replays the log.
+    fn on_client_request(&mut self, ctx: &mut Ctx<'_>, client: NodeId, req: ClientRequest) {
+        if self.status == Status::Recovering {
+            ctx.send(
+                client,
+                ClientResponse {
+                    conn: req.conn,
+                    result: TxnResult::Aborted("recovering".into()),
+                    issued_at: req.issued_at,
+                },
+            );
+            return;
+        }
+        self.begin_request(ctx, client, req);
+    }
+
+    fn req_id(&mut self) -> u64 {
+        let id = self.next_req;
+        self.next_req += 1;
+        id
+    }
+
     fn alloc_lsns(&mut self, bodies: Vec<RecordBody>, txn: TxnId) -> (Lsn, Lsn) {
         let first = Lsn(self.next_lsn);
         for body in bodies {
@@ -411,7 +293,7 @@ impl MysqlEngine {
                 body,
             };
             if let Some(page) = rec.page() {
-                self.pool.set_lsn(page, rec.lsn);
+                self.txn.pool.set_lsn(page, rec.lsn);
             }
             self.log_buffer_bytes += rec.wire_size();
             self.log_buffer.push(rec);
@@ -420,21 +302,22 @@ impl MysqlEngine {
         (first, Lsn(self.next_lsn - 1))
     }
 
-    // ---- CPU ----
-
-    fn schedule_cpu(&mut self, ctx: &mut Ctx<'_>, conn: u64, cost: SimDuration) {
-        let now = ctx.now();
-        let (idx, free) = self
-            .vcpu_free
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, t)| **t)
-            .map(|(i, t)| (i, *t))
-            .unwrap();
-        let start = if free > now { free } else { now };
-        let end = start + cost;
-        self.vcpu_free[idx] = end;
-        ctx.set_timer(end - now, TAG_CPU_BASE + conn);
+    /// Append the whole log buffer to EBS as one sequential write of at
+    /// least `min_bytes`; returns the bytes written.
+    fn ship_log(&mut self, ctx: &mut Ctx<'_>, min_bytes: usize) -> usize {
+        let records = std::mem::take(&mut self.log_buffer);
+        let bytes = std::mem::take(&mut self.log_buffer_bytes).max(min_bytes);
+        let req_id = self.req_id();
+        ctx.send(
+            self.cfg.ebs,
+            EbsAppend {
+                req_id,
+                bytes,
+                records,
+                binlog: false,
+            },
+        );
+        bytes
     }
 
     // ---- the commit chain (Figure 2) ----
@@ -448,22 +331,10 @@ impl MysqlEngine {
             .group_commit_limit
             .max(1)
             .min(self.commit_queue.len());
-        let commits: Vec<CommitWaiter> = self.commit_queue.drain(..take).collect();
+        let commits: Vec<RunningTxn> = self.commit_queue.drain(..take).collect();
         // everything staged so far rides along (log writes are sequential)
-        let records = std::mem::take(&mut self.log_buffer);
-        let bytes = std::mem::take(&mut self.log_buffer_bytes).max(512);
-        let req_id = self.next_req;
-        self.next_req += 1;
         ctx.inc("mysql.log_flushes", 1);
-        ctx.send(
-            self.cfg.ebs,
-            EbsAppend {
-                req_id,
-                bytes,
-                records,
-                binlog: false,
-            },
-        );
+        let bytes = self.ship_log(ctx, 512);
         self.flush = Some(FlushRound {
             stage: 0,
             commits,
@@ -480,9 +351,8 @@ impl MysqlEngine {
                 // stage 2: binlog fsync (its own sequential write — the
                 // "statement log archived to S3" of Figure 2)
                 round.stage = 1;
-                let req_id = self.next_req;
-                self.next_req += 1;
                 let bytes = (round.commits.len() * 128).max(512);
+                let req_id = self.req_id();
                 ctx.send(
                     self.cfg.ebs,
                     EbsAppend {
@@ -497,9 +367,8 @@ impl MysqlEngine {
                 if let Some(standby) = self.cfg.standby {
                     // stage 3: synchronous block shipping to the standby
                     round.stage = 2;
-                    let req_id = self.next_req;
-                    self.next_req += 1;
                     let bytes = round.bytes;
+                    let req_id = self.req_id();
                     ctx.send(standby, StandbyShip { req_id, bytes });
                 } else {
                     self.complete_flush(ctx);
@@ -510,28 +379,32 @@ impl MysqlEngine {
     }
 
     fn complete_flush(&mut self, ctx: &mut Ctx<'_>) {
-        let round = self.flush.take().expect("flush round");
+        let Some(round) = self.flush.take() else {
+            return;
+        };
         let now = ctx.now();
-        for cw in round.commits {
+        let ids = self.txn.ids(ctx);
+        for rt in round.commits {
             // traditional: locks are held until the commit is durable
-            self.locks.release_all(cw.txn);
-            ctx.inc("mysql.commits", 1);
-            ctx.inc("mysql.write_txns", 1);
-            ctx.record("mysql.txn_ns", now.since(cw.issued_at).nanos());
-            ctx.record("mysql.commit_ns", now.since(cw.issued_at).nanos());
+            self.txn.locks.release_all(rt.txn);
+            let latency = now.since(rt.issued_at).nanos();
+            ctx.inc_id(ids.commits, 1);
+            ctx.inc_id(ids.write_txns, 1);
+            ctx.record_id(ids.txn_ns, latency);
+            ctx.record_id(ids.commit_ns, latency);
             ctx.send(
-                cw.client,
+                rt.client,
                 ClientResponse {
-                    conn: cw.conn,
-                    result: TxnResult::Committed(cw.results),
-                    issued_at: cw.issued_at,
+                    conn: rt.conn,
+                    result: TxnResult::Committed(rt.results),
+                    issued_at: rt.issued_at,
                 },
             );
             // asynchronous binlog shipping to replication replicas
             self.binlog_seq += 1;
-            for r in self.cfg.binlog_replicas.clone() {
+            for r in &self.cfg.binlog_replicas {
                 ctx.send(
-                    r,
+                    *r,
                     BinlogEvent {
                         seq: self.binlog_seq,
                         bytes: 128,
@@ -553,7 +426,7 @@ impl MysqlEngine {
             return;
         }
         self.checkpoint_active = true;
-        self.checkpoint_queue = self.pool.dirty_pages();
+        self.checkpoint_queue = self.txn.pool.dirty_pages();
         ctx.inc("mysql.checkpoints", 1);
         self.drive_checkpoint(ctx);
     }
@@ -568,7 +441,7 @@ impl MysqlEngine {
             let Some(page_id) = self.checkpoint_queue.pop() else {
                 break;
             };
-            if self.flush_page(ctx, page_id, true) {
+            if self.flush_page(ctx, page_id, true, Vec::new()) {
                 issued += 1;
             }
         }
@@ -580,33 +453,43 @@ impl MysqlEngine {
             // release stalled writers
             let stalled: Vec<u64> = self.stalled_writes.drain(..).collect();
             for conn in stalled {
-                if self.running.contains_key(&conn) {
-                    self.exec_current_op(ctx, conn);
-                }
+                self.exec_current_op(ctx, conn);
             }
         }
     }
 
     /// Write a dirty page out: double-write first, then in place (2 IOs).
-    /// Returns false if the page is no longer dirty/resident.
-    fn flush_page(&mut self, ctx: &mut Ctx<'_>, page_id: PageId, checkpoint: bool) -> bool {
-        let Some(page) = self.pool.peek(page_id) else {
+    /// A flush that parks `conns` is a foreground eviction (counted in
+    /// `mysql.evict_flushes`); the rest are background or checkpoint
+    /// flushes (`mysql.page_flushes`). Returns false if the page is no
+    /// longer resident.
+    fn flush_page(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        page_id: PageId,
+        checkpoint: bool,
+        conns: Vec<u64>,
+    ) -> bool {
+        let Some(page) = self.txn.pool.peek(page_id) else {
             return false;
         };
         let page = page.clone();
-        let req_id = self.next_req;
-        self.next_req += 1;
+        let req_id = self.req_id();
         self.flusher_outstanding += 2;
-        self.evictions.insert(
+        let counter = if conns.is_empty() {
+            "mysql.page_flushes"
+        } else {
+            "mysql.evict_flushes"
+        };
+        ctx.inc(counter, 1);
+        self.flushes.insert(
             req_id,
-            PendingEvict::Flush {
+            PendingFlush {
                 remaining: 2,
-                victim: page_id,
-                conns: Vec::new(),
+                conns,
                 checkpoint,
             },
         );
-        ctx.inc("mysql.page_flushes", 1);
         ctx.send(
             self.cfg.ebs,
             EbsWritePage {
@@ -625,363 +508,11 @@ impl MysqlEngine {
                 doublewrite: false,
             },
         );
-        self.pool.mark_clean(page_id);
+        self.txn.pool.mark_clean(page_id);
         true
     }
 
-    // ---- transaction execution ----
-
-    fn begin_request(&mut self, ctx: &mut Ctx<'_>, client: NodeId, req: ClientRequest) {
-        if self.status == Status::Recovering {
-            ctx.send(
-                client,
-                ClientResponse {
-                    conn: req.conn,
-                    result: TxnResult::Aborted("recovering".into()),
-                    issued_at: req.issued_at,
-                },
-            );
-            return;
-        }
-        let txn = TxnId(self.next_txn);
-        self.next_txn += 1;
-        let conn = req.conn;
-        self.running.insert(
-            conn,
-            RunningTxn {
-                conn,
-                client,
-                issued_at: req.issued_at,
-                spec: req.txn,
-                pc: 0,
-                results: Vec::new(),
-                txn,
-                phase: Phase::Cpu,
-                op_started: ctx.now(),
-                undo_ops: Vec::new(),
-                wrote: false,
-                rollback: false,
-            },
-        );
-        self.start_op(ctx, conn);
-    }
-
-    fn start_op(&mut self, ctx: &mut Ctx<'_>, conn: u64) {
-        let Some(rt) = self.running.get_mut(&conn) else {
-            return;
-        };
-        rt.op_started = ctx.now();
-        rt.phase = Phase::Cpu;
-        let base = if rt.pc >= rt.spec.ops.len() {
-            self.cfg.cpu_per_commit
-        } else if rt.spec.ops[rt.pc].is_read() {
-            self.cfg.cpu_per_read
-        } else {
-            self.cfg.cpu_per_op
-        };
-        // thread-per-connection scheduling overhead at high concurrency
-        let active = self.running.len() as f64;
-        let thrash = 1.0 + (active / self.cfg.thrash_conns.max(1) as f64).powi(2);
-        let cost = base.mul_f64(thrash);
-        self.schedule_cpu(ctx, conn, cost);
-    }
-
-    fn exec_current_op(&mut self, ctx: &mut Ctx<'_>, conn: u64) {
-        let Some(rt) = self.running.get(&conn) else {
-            return;
-        };
-        if rt.pc >= rt.spec.ops.len() {
-            self.finish_txn(ctx, conn);
-            return;
-        }
-        let op = rt.spec.ops[rt.pc].clone();
-        let txn = rt.txn;
-        let is_rollback = rt.rollback;
-
-        // checkpoint gate: new writes stall while a checkpoint drains
-        // ("reduce … interference with foreground transactions" is exactly
-        // what this engine cannot do)
-        if self.checkpoint_active && op.write_key().is_some() && !is_rollback {
-            ctx.inc("mysql.checkpoint_stalls", 1);
-            self.stalled_writes.push_back(conn);
-            return;
-        }
-
-        if let Some(key) = op.write_key() {
-            match self.locks.acquire(key, txn) {
-                LockOutcome::Granted => {}
-                LockOutcome::Queued => {
-                    ctx.inc("mysql.lock_waits", 1);
-                    let now = ctx.now();
-                    if let Some(rt) = self.running.get_mut(&conn) {
-                        rt.phase = Phase::LockWait { key, since: now };
-                    }
-                    return;
-                }
-            }
-        }
-
-        match self.try_exec_op(conn, &op) {
-            Ok(result) => {
-                let kind = match &op {
-                    Op::Get(_) => "mysql.select_ns",
-                    Op::Scan(_, _) => "mysql.scan_ns",
-                    Op::Insert(_, _) => "mysql.insert_ns",
-                    Op::Update(_, _) | Op::Upsert(_, _) => "mysql.update_ns",
-                    Op::Delete(_) => "mysql.delete_ns",
-                };
-                let is_write = op.write_key().is_some();
-                let rt = self.running.get_mut(&conn).unwrap();
-                let elapsed = ctx.now().since(rt.op_started).nanos();
-                rt.results.push(result);
-                rt.pc += 1;
-                ctx.record(kind, elapsed);
-                if is_write && self.cfg.serial_log_cost > SimDuration::ZERO {
-                    // copy the record into the redo/binlog buffers under
-                    // the single log mutex — serialized across all vCPUs
-                    let now = ctx.now();
-                    let start = if self.log_mutex_free > now {
-                        self.log_mutex_free
-                    } else {
-                        now
-                    };
-                    let end = start + self.cfg.serial_log_cost;
-                    self.log_mutex_free = end;
-                    ctx.set_timer(end - now, TAG_MUTEX_BASE + conn);
-                    return;
-                }
-                self.start_op(ctx, conn);
-            }
-            Err(ExecStall::Miss(page)) => {
-                if let Some(rt) = self.running.get_mut(&conn) {
-                    rt.phase = Phase::PageWait;
-                }
-                self.request_page(ctx, page, conn);
-            }
-            Err(ExecStall::Abort(reason)) => {
-                self.abort_txn(ctx, conn, reason);
-            }
-        }
-    }
-
-    fn try_exec_op(&mut self, conn: u64, op: &Op) -> Result<OpResult, ExecStall> {
-        let txn = self.running.get(&conn).expect("running").txn;
-        let tree = self.tree;
-        let row_size = self.cfg.row_size;
-        match op {
-            Op::Get(k) => {
-                let mut p = MysqlProvider {
-                    pool: &mut self.pool,
-                    bodies: Vec::new(),
-                };
-                tree.get(&mut p, *k).map(OpResult::Row).map_err(stall_from)
-            }
-            Op::Scan(k, n) => {
-                let mut p = MysqlProvider {
-                    pool: &mut self.pool,
-                    bodies: Vec::new(),
-                };
-                tree.scan(&mut p, *k, *n)
-                    .map(OpResult::Rows)
-                    .map_err(stall_from)
-            }
-            write => {
-                let key = write.write_key().unwrap();
-                // read old value
-                let old = {
-                    let mut p = MysqlProvider {
-                        pool: &mut self.pool,
-                        bodies: Vec::new(),
-                    };
-                    tree.get(&mut p, key).map_err(stall_from)?
-                };
-                let (inverse, act): (Op, u8) = match (write, &old) {
-                    (Op::Insert(_, _), None) | (Op::Upsert(_, _), None) => (Op::Delete(key), 0),
-                    (Op::Insert(_, _), Some(_)) => {
-                        return Err(ExecStall::Abort(format!("duplicate key {key}")))
-                    }
-                    (Op::Update(_, _), Some(o)) | (Op::Upsert(_, _), Some(o)) => {
-                        (Op::Update(key, o.clone()), 1)
-                    }
-                    (Op::Update(_, _), None) => {
-                        return Err(ExecStall::Abort(format!("key {key} not found")))
-                    }
-                    (Op::Delete(_), Some(o)) => (Op::Insert(key, o.clone()), 2),
-                    (Op::Delete(_), None) => {
-                        return Err(ExecStall::Abort(format!("key {key} not found")))
-                    }
-                    _ => unreachable!(),
-                };
-                let mut bodies = {
-                    let mut p = MysqlProvider {
-                        pool: &mut self.pool,
-                        bodies: Vec::new(),
-                    };
-                    let r = match (write, act) {
-                        (Op::Insert(_, v), 0) | (Op::Upsert(_, v), 0) => {
-                            tree.insert(&mut p, key, &fit_row(v, row_size))
-                        }
-                        (Op::Update(_, v), 1) | (Op::Upsert(_, v), 1) => {
-                            tree.update(&mut p, key, &fit_row(v, row_size))
-                        }
-                        (Op::Delete(_), 2) => tree.delete(&mut p, key),
-                        _ => unreachable!(),
-                    };
-                    r.map_err(stall_from)?;
-                    p.bodies
-                };
-                // log the logical undo alongside (as InnoDB redo-logs undo)
-                let mut undo_payload = Vec::with_capacity(40);
-                undo_payload.extend_from_slice(&txn.0.to_le_bytes());
-                undo_payload.extend_from_slice(&encode_undo(&inverse));
-                bodies.push(RecordBody::Undo {
-                    data: Bytes::from(undo_payload),
-                });
-                let rt = self.running.get_mut(&conn).unwrap();
-                let first_write = !rt.wrote;
-                let mut all = Vec::with_capacity(bodies.len() + 1);
-                if first_write && !rt.rollback {
-                    all.push(RecordBody::TxnBegin);
-                }
-                all.extend(bodies);
-                rt.wrote = true;
-                rt.undo_ops.push(inverse);
-                self.alloc_lsns(all, txn);
-                Ok(OpResult::Done)
-            }
-        }
-    }
-
-    fn finish_txn(&mut self, ctx: &mut Ctx<'_>, conn: u64) {
-        let rt = self.running.remove(&conn).expect("running");
-        if rt.rollback {
-            self.alloc_lsns(vec![RecordBody::TxnAbort], rt.txn);
-            self.locks.release_all(rt.txn);
-            self.resume_lock_waiters(ctx);
-            return;
-        }
-        if !rt.wrote {
-            ctx.inc("mysql.commits", 1);
-            ctx.inc("mysql.read_txns", 1);
-            ctx.record("mysql.txn_ns", ctx.now().since(rt.issued_at).nanos());
-            ctx.send(
-                rt.client,
-                ClientResponse {
-                    conn: rt.conn,
-                    result: TxnResult::Committed(rt.results),
-                    issued_at: rt.issued_at,
-                },
-            );
-            return;
-        }
-        let (_, commit_lsn) = self.alloc_lsns(vec![RecordBody::TxnCommit], rt.txn);
-        self.commit_queue.push_back(CommitWaiter {
-            conn: rt.conn,
-            client: rt.client,
-            issued_at: rt.issued_at,
-            results: rt.results,
-            txn: rt.txn,
-            commit_lsn,
-        });
-        self.maybe_start_flush(ctx);
-    }
-
-    fn abort_txn(&mut self, ctx: &mut Ctx<'_>, conn: u64, reason: String) {
-        let Some(rt) = self.running.remove(&conn) else {
-            return;
-        };
-        if rt.rollback {
-            ctx.inc("mysql.rollback_errors", 1);
-            self.locks.release_all(rt.txn);
-            self.resume_lock_waiters(ctx);
-            return;
-        }
-        ctx.inc("mysql.aborts", 1);
-        ctx.send(
-            rt.client,
-            ClientResponse {
-                conn: rt.conn,
-                result: TxnResult::Aborted(reason),
-                issued_at: rt.issued_at,
-            },
-        );
-        if !rt.wrote {
-            self.locks.release_all(rt.txn);
-            self.resume_lock_waiters(ctx);
-            return;
-        }
-        let inverse_ops: Vec<Op> = rt.undo_ops.iter().rev().cloned().collect();
-        self.spawn_rollback(ctx, rt.txn, inverse_ops);
-    }
-
-    fn spawn_rollback(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, inverse_ops: Vec<Op>) {
-        let conn = self.next_synthetic;
-        self.next_synthetic += 1;
-        self.running.insert(
-            conn,
-            RunningTxn {
-                conn,
-                client: aurora_sim::sim::EXTERNAL,
-                issued_at: ctx.now(),
-                spec: TxnSpec { ops: inverse_ops },
-                pc: 0,
-                results: Vec::new(),
-                txn,
-                phase: Phase::Cpu,
-                op_started: ctx.now(),
-                undo_ops: Vec::new(),
-                wrote: true,
-                rollback: true,
-            },
-        );
-        self.start_op(ctx, conn);
-    }
-
-    fn resume_lock_waiters(&mut self, ctx: &mut Ctx<'_>) {
-        let resumable: Vec<u64> = self
-            .running
-            .iter()
-            .filter(|(_, rt)| {
-                matches!(rt.phase, Phase::LockWait { key, .. }
-                    if self.locks.owner(key) == Some(rt.txn))
-            })
-            .map(|(c, _)| *c)
-            .collect();
-        for conn in resumable {
-            self.exec_current_op(ctx, conn);
-        }
-    }
-
     // ---- reads / eviction ----
-
-    fn request_page(&mut self, ctx: &mut Ctx<'_>, page: PageId, conn: u64) {
-        if let Some(req_id) = self.page_waits.get(&page) {
-            if let Some(pr) = self.reads.get_mut(req_id) {
-                if !pr.conns.contains(&conn) {
-                    pr.conns.push(conn);
-                }
-                return;
-            }
-        }
-        let req_id = self.next_req;
-        self.next_req += 1;
-        self.page_waits.insert(page, req_id);
-        self.reads.insert(
-            req_id,
-            PendingRead {
-                page,
-                conns: vec![conn],
-            },
-        );
-        ctx.inc("mysql.page_fetches", 1);
-        ctx.send(
-            self.cfg.ebs,
-            EbsReadPage {
-                req_id,
-                page_id: page,
-            },
-        );
-    }
 
     fn on_read_resp(&mut self, ctx: &mut Ctx<'_>, resp: EbsReadResp) {
         let Some(pr) = self.reads.remove(&resp.req_id) else {
@@ -991,108 +522,55 @@ impl MysqlEngine {
         // room must be made: a dirty LRU victim forces a foreground flush
         // before the fetched page can come in ("the extra penalty of
         // evicting and flushing a dirty cache page")
-        while self.pool.len() >= self.pool.capacity() {
-            let Some((victim, dirty)) = self.pool.lru_victim() else {
+        while self.txn.pool.len() >= self.txn.pool.capacity() {
+            let Some((victim, dirty)) = self.txn.pool.lru_victim() else {
                 break;
             };
             if dirty {
-                ctx.inc("mysql.evict_flushes", 1);
-                let req_id = self.next_req - 1; // reuse: flush_page assigns its own
-                let _ = req_id;
-                // flush synchronously from the txn's perspective: park the
-                // conns until the page write completes
-                let page = self.pool.peek(victim).unwrap().clone();
-                let req_id = self.next_req;
-                self.next_req += 1;
-                self.flusher_outstanding += 2;
-                self.evictions.insert(
-                    req_id,
-                    PendingEvict::Flush {
-                        remaining: 2,
-                        victim,
-                        conns: pr.conns.clone(),
-                        checkpoint: false,
-                    },
-                );
-                ctx.send(
-                    self.cfg.ebs,
-                    EbsWritePage {
-                        req_id,
-                        page_id: victim,
-                        page: page.clone(),
-                        doublewrite: true,
-                    },
-                );
-                ctx.send(
-                    self.cfg.ebs,
-                    EbsWritePage {
-                        req_id,
-                        page_id: victim,
-                        page,
-                        doublewrite: false,
-                    },
-                );
-                self.pool.mark_clean(victim);
-                self.pool.remove(victim);
+                // flush synchronously from the txn's perspective: the
+                // conns stay parked until the page write completes
+                self.flush_page(ctx, victim, false, pr.conns);
+                self.txn.pool.remove(victim);
                 // stash the fetched page for when the flush acks
-                self.pool.insert_unchecked(resp.page_id, resp.page);
-                for conn in &pr.conns {
-                    if let Some(rt) = self.running.get_mut(conn) {
-                        rt.phase = Phase::EvictWait;
-                    }
-                }
+                self.txn.pool.insert_unchecked(resp.page_id, resp.page);
                 return;
             }
-            self.pool.remove(victim);
+            self.txn.pool.remove(victim);
         }
-        self.pool.insert_unchecked(resp.page_id, resp.page);
+        self.txn.pool.insert_unchecked(resp.page_id, resp.page);
         for conn in pr.conns {
-            if self.running.contains_key(&conn) {
-                self.exec_current_op(ctx, conn);
-            }
+            self.exec_current_op(ctx, conn);
         }
     }
 
     fn on_ebs_ack(&mut self, ctx: &mut Ctx<'_>, req_id: u64) {
-        // page-flush acks
-        if let Some(PendingEvict::Flush { remaining, .. }) = self.evictions.get_mut(&req_id) {
-            *remaining -= 1;
-            self.flusher_outstanding = self.flusher_outstanding.saturating_sub(1);
-            if *remaining == 0 {
-                let Some(PendingEvict::Flush {
-                    conns, checkpoint, ..
-                }) = self.evictions.remove(&req_id)
-                else {
-                    unreachable!()
-                };
-                for conn in conns {
-                    if self.running.contains_key(&conn) {
-                        self.exec_current_op(ctx, conn);
-                    }
-                }
-                if checkpoint {
-                    self.drive_checkpoint(ctx);
-                }
-            }
+        // anything but a page flush is the commit chain's log/binlog ack
+        let Some(mut flush) = self.flushes.remove(&req_id) else {
+            self.on_flush_ack(ctx);
+            return;
+        };
+        flush.remaining -= 1;
+        self.flusher_outstanding = self.flusher_outstanding.saturating_sub(1);
+        if flush.remaining > 0 {
+            self.flushes.insert(req_id, flush);
             return;
         }
-        // otherwise this is the commit chain's log/binlog ack
-        self.on_flush_ack(ctx);
+        for conn in flush.conns {
+            self.exec_current_op(ctx, conn);
+        }
+        if flush.checkpoint {
+            self.drive_checkpoint(ctx);
+        }
     }
 
     // ---- bootstrap / recovery ----
 
     fn bootstrap(&mut self, ctx: &mut Ctx<'_>) {
-        let tree = self.tree;
-        self.pool.insert_unchecked(PageId(0), Page::new());
-        let bodies = {
-            let mut p = MysqlProvider {
-                pool: &mut self.pool,
-                bodies: Vec::new(),
-            };
-            tree.create(&mut p).expect("create");
-            p.bodies
-        };
+        let tree = self.txn.tree;
+        self.txn.pool.insert_unchecked(PageId(0), Page::new());
+        let mut p = PoolProvider::new(&mut self.txn.pool);
+        tree.create(&mut p).expect("create");
+        let bodies = p.bodies;
         self.alloc_lsns(bodies, TxnId::SYSTEM);
         self.bootstrap_next = 0;
         self.bootstrap_chunk(ctx);
@@ -1100,108 +578,68 @@ impl MysqlEngine {
 
     fn bootstrap_chunk(&mut self, ctx: &mut Ctx<'_>) {
         const CHUNK: u64 = 4_000;
-        let tree = self.tree;
+        let tree = self.txn.tree;
         let rows = self.cfg.bootstrap_rows;
         let end = (self.bootstrap_next + CHUNK).min(rows);
         for k in self.bootstrap_next..end {
-            let row = aurora_core::engine::bootstrap_row(k, self.cfg.row_size);
-            let bodies = {
-                let mut p = MysqlProvider {
-                    pool: &mut self.pool,
-                    bodies: Vec::new(),
-                };
-                tree.insert(&mut p, k, &row).expect("bootstrap insert");
-                p.bodies
-            };
+            let row = bootstrap_row(k, self.cfg.row_size);
+            let mut p = PoolProvider::new(&mut self.txn.pool);
+            tree.insert(&mut p, k, &row).expect("bootstrap insert");
+            let bodies = p.bodies;
             self.alloc_lsns(bodies, TxnId::SYSTEM);
             // ship the log in chunks so the EBS actor isn't flooded
             if self.log_buffer.len() >= 4_096 {
-                let records = std::mem::take(&mut self.log_buffer);
-                let bytes = std::mem::take(&mut self.log_buffer_bytes);
-                let req_id = self.next_req;
-                self.next_req += 1;
-                ctx.send(
-                    self.cfg.ebs,
-                    EbsAppend {
-                        req_id,
-                        bytes,
-                        records,
-                        binlog: false,
-                    },
-                );
+                self.ship_log(ctx, 0);
             }
         }
         self.bootstrap_next = end;
         if end < rows {
             // flush dirty pages in the background as the load proceeds so
             // the final checkpoint is not one giant burst
-            let dirty = self.pool.dirty_pages();
-            for page_id in dirty.into_iter().take(512) {
-                if let Some(page) = self.pool.peek(page_id) {
-                    let page = page.clone();
-                    let req_id = self.next_req;
-                    self.next_req += 1;
-                    ctx.send(
-                        self.cfg.ebs,
-                        EbsWritePage {
-                            req_id,
-                            page_id,
-                            page,
-                            doublewrite: false,
-                        },
-                    );
-                    self.pool.mark_clean(page_id);
-                }
-            }
+            let dirty = self.txn.pool.dirty_pages();
+            self.write_back(ctx, dirty.into_iter().take(512));
             ctx.set_timer(SimDuration::from_millis(2), TAG_BOOTSTRAP);
             return;
         }
         // final flush: bootstrap pages durable, checkpoint taken
-        let dirty = self.pool.dirty_pages();
-        for page_id in dirty {
-            if let Some(page) = self.pool.peek(page_id) {
-                let page = page.clone();
-                let req_id = self.next_req;
-                self.next_req += 1;
-                ctx.send(
-                    self.cfg.ebs,
-                    EbsWritePage {
-                        req_id,
-                        page_id,
-                        page,
-                        doublewrite: false,
-                    },
-                );
-                self.pool.mark_clean(page_id);
-            }
-        }
-        let records = std::mem::take(&mut self.log_buffer);
-        let bytes = std::mem::take(&mut self.log_buffer_bytes);
-        if !records.is_empty() {
-            let req_id = self.next_req;
-            self.next_req += 1;
-            ctx.send(
-                self.cfg.ebs,
-                EbsAppend {
-                    req_id,
-                    bytes,
-                    records,
-                    binlog: false,
-                },
-            );
+        let dirty = self.txn.pool.dirty_pages();
+        self.write_back(ctx, dirty);
+        if !self.log_buffer.is_empty() {
+            self.ship_log(ctx, 0);
         }
         self.durable_checkpoint = Lsn(self.next_lsn - 1);
         self.redo_since_checkpoint = 0;
-        self.pool.shrink_to_capacity(Lsn(u64::MAX));
+        self.txn.pool.shrink_to_capacity(Lsn(u64::MAX));
         self.status = Status::Ready;
         ctx.inc("mysql.bootstrap_rows", self.cfg.bootstrap_rows);
+    }
+
+    /// Bootstrap write-back: pages go straight to their home location,
+    /// without the doublewrite copy.
+    fn write_back(&mut self, ctx: &mut Ctx<'_>, pages: impl IntoIterator<Item = PageId>) {
+        for page_id in pages {
+            let Some(page) = self.txn.pool.peek(page_id) else {
+                continue;
+            };
+            let page = page.clone();
+            let req_id = self.req_id();
+            ctx.send(
+                self.cfg.ebs,
+                EbsWritePage {
+                    req_id,
+                    page_id,
+                    page,
+                    doublewrite: false,
+                },
+            );
+            self.txn.pool.mark_clean(page_id);
+        }
     }
 
     fn start_recovery(&mut self, ctx: &mut Ctx<'_>) {
         self.status = Status::Recovering;
         self.replay_started = ctx.now();
-        let req_id = self.next_req;
-        self.next_req += 1;
+        let req_id = self.req_id();
         ctx.send(
             self.cfg.ebs,
             ReplayReq {
@@ -1238,9 +676,8 @@ impl MysqlEngine {
             match &r.body {
                 RecordBody::TxnBegin => begun.push(r.txn),
                 RecordBody::TxnCommit | RecordBody::TxnAbort => finished.push(r.txn),
-                RecordBody::Undo { data } if data.len() > 8 => {
-                    let t = TxnId(u64::from_le_bytes(data[0..8].try_into().unwrap()));
-                    if let Some(op) = decode_undo(&data[8..]) {
+                RecordBody::Undo { data } => {
+                    if let Some((t, op)) = decode_undo(data) {
                         undos.push((r.lsn, t, op));
                     }
                 }
@@ -1248,7 +685,7 @@ impl MysqlEngine {
             }
         }
         self.next_lsn = max_lsn + 1;
-        self.next_txn = max_txn + 1;
+        self.txn.next_txn = max_txn + 1;
         let in_flight: Vec<TxnId> = begun
             .into_iter()
             .filter(|t| !finished.contains(t))
@@ -1273,6 +710,91 @@ impl MysqlEngine {
     }
 }
 
+/// MySQL as the executor's backend: redo goes to a local log buffer (no
+/// back-pressure), writes wait out checkpoints and serialise on the log
+/// mutex, and a commit holds its locks until the flush round that makes
+/// it durable completes.
+impl TxnBackend for MysqlEngine {
+    fn core(&mut self) -> &mut TxnCore {
+        &mut self.txn
+    }
+
+    fn seal(&mut self, txn: TxnId, bodies: Vec<RecordBody>) -> Option<(Lsn, Lsn)> {
+        Some(self.alloc_lsns(bodies, txn))
+    }
+
+    /// Checkpoint gate: new writes stall while a checkpoint drains
+    /// ("reduce … interference with foreground transactions" is exactly
+    /// what this engine cannot do).
+    fn admit_write(&mut self, ctx: &mut Ctx<'_>, conn: u64) -> bool {
+        if !self.checkpoint_active {
+            return true;
+        }
+        ctx.inc("mysql.checkpoint_stalls", 1);
+        self.stalled_writes.push_back(conn);
+        false
+    }
+
+    /// Thread-per-connection scheduling overhead at high concurrency.
+    fn cpu_cost(&mut self, base: SimDuration) -> SimDuration {
+        let active = self.txn.running.len() as f64;
+        let thrash = 1.0 + (active / self.cfg.thrash_conns.max(1) as f64).powi(2);
+        base.mul_f64(thrash)
+    }
+
+    /// A write copies its records into the redo/binlog buffers under the
+    /// single log mutex — serialized across all vCPUs; the next op starts
+    /// when the mutex is released.
+    fn after_op(&mut self, ctx: &mut Ctx<'_>, conn: u64, write: bool) -> bool {
+        if !write || self.cfg.serial_log_cost == SimDuration::ZERO {
+            return true;
+        }
+        let now = ctx.now();
+        let end = self.log_mutex_free.max(now) + self.cfg.serial_log_cost;
+        self.log_mutex_free = end;
+        ctx.set_timer(end - now, TAG_MUTEX_BASE + conn);
+        false
+    }
+
+    /// The transaction keeps its locks and joins the next flush round.
+    fn commit_write(&mut self, ctx: &mut Ctx<'_>, rt: RunningTxn, _commit_lsn: Lsn) {
+        self.commit_queue.push_back(rt);
+        self.maybe_start_flush(ctx);
+    }
+
+    fn request_page(&mut self, ctx: &mut Ctx<'_>, page: PageId, conn: u64) {
+        if let Some(req_id) = self.page_waits.get(&page) {
+            if let Some(pr) = self.reads.get_mut(req_id) {
+                if !pr.conns.contains(&conn) {
+                    pr.conns.push(conn);
+                }
+                return;
+            }
+        }
+        let req_id = self.req_id();
+        self.page_waits.insert(page, req_id);
+        self.reads.insert(
+            req_id,
+            PendingRead {
+                page,
+                conns: vec![conn],
+            },
+        );
+        ctx.inc("mysql.page_fetches", 1);
+        ctx.send(
+            self.cfg.ebs,
+            EbsReadPage {
+                req_id,
+                page_id: page,
+            },
+        );
+    }
+
+    fn on_rollback_done(&mut self, _ctx: &mut Ctx<'_>) {}
+
+    fn after_txn_end(&mut self, _ctx: &mut Ctx<'_>) {}
+}
+
 impl Actor for MysqlEngine {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: ActorEvent) {
         match ev {
@@ -1289,28 +811,15 @@ impl Actor for MysqlEngine {
             ActorEvent::Timer { tag } => match tag {
                 TAG_FLUSHER => {
                     if !self.checkpoint_active {
-                        let dirty = self.pool.dirty_pages();
+                        let dirty = self.txn.pool.dirty_pages();
                         for page_id in dirty.into_iter().take(self.cfg.flusher_batch) {
-                            self.flush_page(ctx, page_id, false);
+                            self.flush_page(ctx, page_id, false, Vec::new());
                         }
                     }
                     ctx.set_timer(self.cfg.flusher_interval, TAG_FLUSHER);
                 }
                 TAG_SWEEP => {
-                    let now = ctx.now();
-                    let timed_out: Vec<u64> = self
-                        .running
-                        .iter()
-                        .filter(|(_, rt)| {
-                            matches!(rt.phase, Phase::LockWait { since, .. }
-                                if now.since(since) > self.cfg.lock_wait_timeout)
-                        })
-                        .map(|(c, _)| *c)
-                        .collect();
-                    for conn in timed_out {
-                        ctx.inc("mysql.lock_timeouts", 1);
-                        self.abort_txn(ctx, conn, "lock wait timeout".into());
-                    }
+                    self.expire_lock_waits(ctx);
                     ctx.set_timer(SimDuration::from_millis(5), TAG_SWEEP);
                 }
                 TAG_BOOTSTRAP if self.status == Status::Bootstrapping => {
@@ -1338,10 +847,9 @@ impl Actor for MysqlEngine {
                 _ => {}
             },
             ActorEvent::Message { from, msg } => {
-                let _ = from;
                 let msg = match msg.downcast::<ClientRequest>() {
                     Ok(req) => {
-                        self.begin_request(ctx, from, req);
+                        self.on_client_request(ctx, from, req);
                         return;
                     }
                     Err(m) => m,
@@ -1377,24 +885,20 @@ impl Actor for MysqlEngine {
 
     fn on_crash(&mut self) {
         self.status = Status::Recovering;
-        self.pool.clear();
+        self.txn.crash();
         self.log_buffer.clear();
         self.log_buffer_bytes = 0;
         self.commit_queue.clear();
         self.flush = None;
-        self.locks = LockTable::new();
-        self.running.clear();
         self.reads.clear();
         self.page_waits.clear();
-        self.evictions.clear();
+        self.flushes.clear();
         self.stalled_writes.clear();
         self.checkpoint_active = false;
         self.checkpoint_queue.clear();
         self.flusher_outstanding = 0;
         self.pending_rollbacks.clear();
         self.log_mutex_free = SimTime::ZERO;
-        let vcpus = self.cfg.instance.vcpus as usize;
-        self.vcpu_free = vec![SimTime::ZERO; vcpus];
         // durable_checkpoint survives (it lives in the log header on EBS)
     }
 }

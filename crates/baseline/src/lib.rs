@@ -21,8 +21,10 @@
 //!   transactions single-threaded — the source of the paper's multi-minute
 //!   replica lag (Table 4, Figure 11).
 //!
-//! The access path (B+-tree, buffer pool, row locks) is shared with
-//! `aurora-core` — the paper's own framing: Aurora *is* MySQL above the IO
+//! Everything above the IO path — B+-tree, buffer pool, row locks, undo,
+//! rollback, the vCPU model — is `aurora-core`'s transaction executor
+//! (`aurora_core::txn`), which this engine plugs into as a second backend.
+//! That is the paper's own framing: Aurora *is* MySQL above the IO
 //! subsystem, so the IO path is the only experimental variable.
 
 pub mod ebs;

@@ -1,48 +1,39 @@
 //! The Aurora writer instance.
 //!
 //! One actor hosts the full engine: connections execute transactions
-//! against the B+-tree in the buffer cache; every mutation becomes redo
-//! records (the only thing that ever crosses the network to storage, §3.2);
-//! commits are asynchronous (§4.2.2); reads are served at a read point
-//! from a single complete segment (§4.2.3); crash recovery rebuilds the
-//! durable point from a read quorum, truncates with a fresh epoch, and
-//! rolls back in-flight transactions with logical undo (§4.3).
+//! against the B+-tree in the buffer cache through the shared executor
+//! ([`crate::txn`]); every mutation becomes redo records (the only thing
+//! that ever crosses the network to storage, §3.2); commits are
+//! asynchronous (§4.2.2); reads are served at a read point from a single
+//! complete segment (§4.2.3); crash recovery rebuilds the durable point
+//! from a read quorum, truncates with a fresh epoch, and rolls back
+//! in-flight transactions with logical undo (§4.3).
 //!
-//! ## CPU model
-//!
-//! The paper's Figures 6–7 scale with instance vCPUs. The actor models an
-//! instance as `vcpus` processors: each statement costs `cpu_per_op` of
-//! processor time, scheduled on the earliest-free vCPU. Waits (page
-//! fetches, lock queues, commit durability) consume no CPU — which is
-//! exactly the asynchrony the paper credits for Aurora's throughput.
-//!
-//! ## Rollback
-//!
-//! Aborts (user aborts, lock-timeout deadlock breaks, crash recovery) are
-//! *logical*: every forward change logs an [`RecordBody::Undo`] record
-//! carrying the inverse operation, and rollback executes those inverses as
-//! a synthetic transaction through the ordinary write path. Physical
-//! unapply would be unsound here because two transactions can shift rows
-//! within the same leaf.
+//! This file is the executor's Aurora backend: sealing with LAL
+//! back-pressure, early lock release on commit-record seal, commits parked
+//! on the VDL, and page fetches from one complete segment. Waits consume
+//! no CPU — exactly the asynchrony the paper credits for Aurora's
+//! throughput.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use aurora_sim::hash::{FxHashMap as HashMap, FxHashSet as HashSet};
 use std::sync::Arc;
 
 use aurora_log::{
-    mtr::CplMode, LogRecord, Lsn, LsnAllocator, MtrBuilder, Page, PageId, Patch, PgId, RecordBody,
+    mtr::CplMode, LogRecord, Lsn, LsnAllocator, MtrBuilder, Page, PageId, PgId, RecordBody,
     SegmentId, TxnId, LAL_DEFAULT,
 };
 use aurora_quorum::{AckOutcome, DurabilityTracker, QuorumConfig, TruncationRange, VolumeEpoch};
 use aurora_sim::{Actor, ActorEvent, Ctx, Msg, NodeId, SimDuration, SimTime, SpanId, Tag, TimerId};
 use aurora_storage::wire as swire;
 use aurora_storage::{PgMembership, VolumeLayout};
-use bytes::Bytes;
 
-use crate::btree::{BTree, BTreeError, PageEditor, PageMiss, PageProvider, TreeMeta};
-use crate::buffer::BufferPool;
-use crate::locks::{LockOutcome, LockTable};
+pub use crate::txn::CONN_SYNTHETIC_BASE;
+use crate::txn::{
+    decode_undo, PoolProvider, RunningTxn, TxnBackend, TxnCore, TxnMetricNames, TxnParams,
+    TAG_CPU_BASE,
+};
 use crate::wire::*;
 
 const TAG_FLUSH: Tag = 1;
@@ -50,11 +41,6 @@ const TAG_SWEEP: Tag = 2;
 const TAG_ZDP_RESUME: Tag = 4;
 const TAG_RECOVERY_RESEND: Tag = 5;
 const TAG_BOOTSTRAP: Tag = 6;
-const TAG_CPU_BASE: Tag = 1 << 48;
-
-/// Client connection ids must stay below this; higher ids are reserved
-/// for the engine's synthetic rollback transactions.
-pub const CONN_SYNTHETIC_BASE: u64 = 1 << 40;
 
 /// EC2 instance model (§6.1: the r3 family, each size doubling the last).
 #[derive(Debug, Clone)]
@@ -257,38 +243,6 @@ pub enum EngineStatus {
     Standby,
 }
 
-/// Why a running transaction is parked.
-#[derive(Debug)]
-enum Phase {
-    /// A CPU slice is scheduled; the op body runs when the timer fires.
-    Cpu,
-    /// Waiting for a page fetch (the page id aids debugging).
-    PageWait(#[allow(dead_code)] PageId),
-    /// Waiting in a lock queue.
-    LockWait { key: u64, since: SimTime },
-    /// Waiting for LAL headroom.
-    LalWait,
-}
-
-struct RunningTxn {
-    conn: u64,
-    client: NodeId,
-    issued_at: SimTime,
-    spec: TxnSpec,
-    pc: usize,
-    results: Vec<OpResult>,
-    txn: TxnId,
-    phase: Phase,
-    op_started: SimTime,
-    /// Logical inverse ops, newest last.
-    undo_ops: Vec<Op>,
-    first_lsn: Lsn,
-    wrote: bool,
-    /// True for synthetic rollback transactions: ends with `TxnAbort`,
-    /// responds to nobody, never itself aborts.
-    rollback: bool,
-}
-
 struct PendingCommit {
     conn: u64,
     client: NodeId,
@@ -384,14 +338,7 @@ struct RecoveryState {
 /// and crash/restart cycles.
 #[derive(Clone, Copy)]
 struct HotIds {
-    txn_ns: aurora_sim::MetricId,
-    commit_ns: aurora_sim::MetricId,
     ack_ns: aurora_sim::MetricId,
-    commits: aurora_sim::MetricId,
-    read_txns: aurora_sim::MetricId,
-    write_txns: aurora_sim::MetricId,
-    lock_waits: aurora_sim::MetricId,
-    lal_stalls: aurora_sim::MetricId,
     log_write_ios: aurora_sim::MetricId,
     batches: aurora_sim::MetricId,
     records_shipped: aurora_sim::MetricId,
@@ -401,11 +348,6 @@ struct HotIds {
     ship_forced: aurora_sim::MetricId,
     page_fetches: aurora_sim::MetricId,
     page_fetch_ns: aurora_sim::MetricId,
-    select_ns: aurora_sim::MetricId,
-    scan_ns: aurora_sim::MetricId,
-    insert_ns: aurora_sim::MetricId,
-    update_ns: aurora_sim::MetricId,
-    delete_ns: aurora_sim::MetricId,
     health_strikes: aurora_sim::MetricId,
     suspect_reports: aurora_sim::MetricId,
     hedged_ships: aurora_sim::MetricId,
@@ -415,14 +357,7 @@ struct HotIds {
 impl HotIds {
     fn resolve(ctx: &mut Ctx<'_>) -> Self {
         HotIds {
-            txn_ns: ctx.metric_id("engine.txn_ns"),
-            commit_ns: ctx.metric_id("engine.commit_ns"),
             ack_ns: ctx.metric_id("engine.ack_ns"),
-            commits: ctx.metric_id("engine.commits"),
-            read_txns: ctx.metric_id("engine.read_txns"),
-            write_txns: ctx.metric_id("engine.write_txns"),
-            lock_waits: ctx.metric_id("engine.lock_waits"),
-            lal_stalls: ctx.metric_id("engine.lal_stalls"),
             log_write_ios: ctx.metric_id("engine.log_write_ios"),
             batches: ctx.metric_id("engine.batches"),
             records_shipped: ctx.metric_id("engine.records_shipped"),
@@ -432,11 +367,6 @@ impl HotIds {
             ship_forced: ctx.metric_id("engine.ship_forced"),
             page_fetches: ctx.metric_id("engine.page_fetches"),
             page_fetch_ns: ctx.metric_id("engine.page_fetch_ns"),
-            select_ns: ctx.metric_id("engine.select_ns"),
-            scan_ns: ctx.metric_id("engine.scan_ns"),
-            insert_ns: ctx.metric_id("engine.insert_ns"),
-            update_ns: ctx.metric_id("engine.update_ns"),
-            delete_ns: ctx.metric_id("engine.delete_ns"),
             health_strikes: ctx.metric_id("engine.health_strikes"),
             suspect_reports: ctx.metric_id("engine.suspect_reports"),
             hedged_ships: ctx.metric_id("engine.hedged_ships"),
@@ -444,6 +374,25 @@ impl HotIds {
         }
     }
 }
+
+/// The executor's metric names on the Aurora writer.
+static ENGINE_TXN_METRICS: TxnMetricNames = TxnMetricNames {
+    txn_ns: "engine.txn_ns",
+    commit_ns: "engine.commit_ns",
+    commits: "engine.commits",
+    read_txns: "engine.read_txns",
+    write_txns: "engine.write_txns",
+    aborts: "engine.aborts",
+    rollback_errors: "engine.rollback_errors",
+    lock_waits: "engine.lock_waits",
+    lock_timeouts: "engine.lock_timeouts",
+    lal_stalls: "engine.lal_stalls",
+    select_ns: "engine.select_ns",
+    scan_ns: "engine.scan_ns",
+    insert_ns: "engine.insert_ns",
+    update_ns: "engine.update_ns",
+    delete_ns: "engine.delete_ns",
+};
 
 pub struct EngineActor {
     cfg: EngineConfig,
@@ -459,12 +408,12 @@ pub struct EngineActor {
     /// `stall_ship`, NOT cleared by `on_crash` — the DST health-convergence
     /// oracle must catch the lingering suspects even across restarts.
     health_frozen: bool,
-    tree: BTree,
     status: EngineStatus,
     engine_version: u64,
+    /// The shared executor: buffer pool, locks, running transactions.
+    txn: TxnCore,
 
     // ---- volatile state (rebuilt by recovery) ----
-    pool: BufferPool,
     alloc: LsnAllocator,
     chain_tails: HashMap<PgId, Lsn>,
     tracker: DurabilityTracker,
@@ -478,12 +427,7 @@ pub struct EngineActor {
     /// flush timer). Volatile: stale timers die with the incarnation.
     flush_timer: Option<TimerId>,
     commit_waiters: BTreeMap<Lsn, Vec<PendingCommit>>,
-    locks: LockTable,
-    running: HashMap<u64, RunningTxn>,
-    lal_waiters: VecDeque<u64>,
-    next_txn: u64,
     next_req: u64,
-    next_synthetic_conn: u64,
     scls: HashMap<SegmentId, Lsn>,
     reads: HashMap<u64, PendingRead>,
     page_waits: HashMap<PageId, u64>,
@@ -496,7 +440,6 @@ pub struct EngineActor {
     /// instants, so iteration order must be deterministic. Volatile —
     /// a restarted engine re-learns member health from scratch.
     health: BTreeMap<SegmentId, NodeHealth>,
-    vcpu_free: Vec<SimTime>,
     recovery: Option<RecoveryState>,
     /// The truncation range this writer's recovery issued — replayed to
     /// segments that report [`swire::EpochBehind`] (they missed the
@@ -507,143 +450,6 @@ pub struct EngineActor {
     patch_queue: Vec<(NodeId, ClientRequest)>,
     known_conns: HashSet<u64>,
     bootstrap_next: u64,
-}
-
-// ------------------------------------------------------------------
-// The engine's PageProvider: buffer cache + record capture
-// ------------------------------------------------------------------
-
-struct EngineProvider<'a> {
-    pool: &'a mut BufferPool,
-    bodies: Vec<RecordBody>,
-}
-
-impl<'a> EngineProvider<'a> {
-    fn new(pool: &'a mut BufferPool) -> Self {
-        EngineProvider {
-            pool,
-            bodies: Vec::new(),
-        }
-    }
-}
-
-impl<'a> PageProvider for EngineProvider<'a> {
-    fn read(&mut self, id: PageId) -> Result<&Page, PageMiss> {
-        // double lookup to satisfy NLL (conditional borrow return)
-        if self.pool.get(id).is_some() {
-            Ok(self.pool.peek(id).unwrap())
-        } else {
-            Err(PageMiss(id))
-        }
-    }
-
-    fn write(
-        &mut self,
-        id: PageId,
-        f: &mut dyn FnMut(&mut PageEditor<'_>),
-    ) -> Result<(), PageMiss> {
-        let Some(page) = self.pool.get_mut(id) else {
-            return Err(PageMiss(id));
-        };
-        let mut patches = Vec::new();
-        {
-            let mut editor = PageEditor::new(page, &mut patches);
-            f(&mut editor);
-        }
-        if !patches.is_empty() {
-            self.bodies.push(RecordBody::PageWrite {
-                page: id,
-                patches: patches
-                    .into_iter()
-                    .map(|(offset, before, after)| Patch {
-                        offset,
-                        before: Bytes::from(before),
-                        after: Bytes::from(after),
-                    })
-                    .collect(),
-            });
-        }
-        Ok(())
-    }
-
-    fn allocate(&mut self) -> Result<PageId, PageMiss> {
-        // Allocator state lives in the meta page (page 0) so that recovery
-        // finds it; the new page is formatted through the log.
-        let off = crate::btree::OFF_META_NEXT_FREE;
-        let next = {
-            let meta = self.pool.get(PageId(0)).ok_or(PageMiss(PageId(0)))?;
-            let stored = u64::from_le_bytes(meta.bytes()[off..off + 8].try_into().unwrap());
-            stored.max(1)
-        };
-        let id = PageId(next);
-        self.write(PageId(0), &mut |e| {
-            e.set_u64(off, next + 1);
-        })?;
-        self.bodies.push(RecordBody::PageFormat {
-            page: id,
-            init: Bytes::new(),
-        });
-        // make the fresh page resident without evicting (eviction mid-op
-        // could pull a page out from under the B+-tree)
-        self.pool.insert_unchecked(id, Page::new());
-        Ok(id)
-    }
-}
-
-// ------------------------------------------------------------------
-// Undo-op (logical inverse) encoding for RecordBody::Undo
-// ------------------------------------------------------------------
-
-fn encode_undo(txn: TxnId, op: &Op) -> Bytes {
-    let mut out = Vec::with_capacity(32);
-    out.extend_from_slice(&txn.0.to_le_bytes());
-    match op {
-        Op::Insert(k, v) => {
-            out.push(0);
-            out.extend_from_slice(&k.to_le_bytes());
-            out.extend_from_slice(v);
-        }
-        Op::Update(k, v) => {
-            out.push(1);
-            out.extend_from_slice(&k.to_le_bytes());
-            out.extend_from_slice(v);
-        }
-        Op::Delete(k) => {
-            out.push(2);
-            out.extend_from_slice(&k.to_le_bytes());
-        }
-        _ => unreachable!("only write inverses are encoded"),
-    }
-    Bytes::from(out)
-}
-
-fn decode_undo(data: &[u8]) -> Option<(TxnId, Op)> {
-    if data.len() < 17 {
-        return None;
-    }
-    let txn = TxnId(u64::from_le_bytes(data[0..8].try_into().ok()?));
-    let tag = data[8];
-    let k = u64::from_le_bytes(data[9..17].try_into().ok()?);
-    let op = match tag {
-        0 => Op::Insert(k, data[17..].to_vec()),
-        1 => Op::Update(k, data[17..].to_vec()),
-        2 => Op::Delete(k),
-        _ => return None,
-    };
-    Some((txn, op))
-}
-
-enum WriteKind {
-    Insert(Vec<u8>),
-    Update(Vec<u8>),
-    Upsert(Vec<u8>),
-    Delete,
-}
-
-enum ExecStall {
-    Miss(PageId),
-    Lal,
-    Abort(String),
 }
 
 /// Replicas of one PG able to serve a chain-complete recovery scan at
@@ -670,24 +476,6 @@ fn scan_candidates(scls: &HashMap<u8, (Lsn, Lsn)>, bar: Lsn) -> Vec<u8> {
         .unwrap_or_default()
 }
 
-fn stall_from(e: BTreeError) -> ExecStall {
-    match e {
-        BTreeError::Miss(m) => ExecStall::Miss(m.0),
-        BTreeError::DuplicateKey(k) => ExecStall::Abort(format!("duplicate key {k}")),
-        BTreeError::KeyNotFound(k) => ExecStall::Abort(format!("key {k} not found")),
-        BTreeError::LeafFull => ExecStall::Abort("internal: leaf full".into()),
-        BTreeError::NotInitialized => ExecStall::Abort("tree not initialized".into()),
-        e @ BTreeError::Corrupt { .. } => ExecStall::Abort(e.to_string()),
-    }
-}
-
-fn fit_row(v: &[u8], row_size: usize) -> Vec<u8> {
-    let mut row = vec![0u8; row_size];
-    let n = v.len().min(row_size);
-    row[..n].copy_from_slice(&v[..n]);
-    row
-}
-
 /// Deterministic bootstrap row content.
 pub fn bootstrap_row(key: u64, row_size: usize) -> Vec<u8> {
     let mut row = vec![0u8; row_size];
@@ -703,17 +491,22 @@ impl EngineActor {
     }
 
     pub fn new(cfg: EngineConfig) -> Self {
-        let tree = BTree::new(TreeMeta::for_row_size(cfg.row_size, PageId(0)));
-        let pool = BufferPool::new(cfg.instance.buffer_pages);
         let alloc = LsnAllocator::new(Lsn::ZERO, cfg.lal);
         let tracker = DurabilityTracker::new(cfg.quorum, Lsn::ZERO);
-        let vcpus = cfg.instance.vcpus as usize;
+        let params = TxnParams {
+            row_size: cfg.row_size,
+            vcpus: cfg.instance.vcpus as usize,
+            buffer_pages: cfg.instance.buffer_pages,
+            cpu_per_op: cfg.cpu_per_op,
+            cpu_per_read: cfg.cpu_per_read,
+            cpu_per_commit: cfg.cpu_per_commit,
+            lock_wait_timeout: cfg.lock_wait_timeout,
+        };
         EngineActor {
             hot: None,
             stall_ship: false,
             health_frozen: false,
-            tree,
-            pool,
+            txn: TxnCore::new(params, &ENGINE_TXN_METRICS),
             alloc,
             tracker,
             status: EngineStatus::Bootstrapping,
@@ -725,19 +518,13 @@ impl EngineActor {
             staging_pgs: Vec::new(),
             flush_timer: None,
             commit_waiters: BTreeMap::new(),
-            locks: LockTable::new(),
-            running: HashMap::default(),
-            lal_waiters: VecDeque::new(),
-            next_txn: 1,
             next_req: 1,
-            next_synthetic_conn: CONN_SYNTHETIC_BASE,
             scls: HashMap::default(),
             reads: HashMap::default(),
             page_waits: HashMap::default(),
             pending_inserts: Vec::new(),
             outstanding: BTreeMap::new(),
             health: BTreeMap::new(),
-            vcpu_free: vec![SimTime::ZERO; vcpus],
             recovery: None,
             last_truncation: None,
             zdp: None,
@@ -813,12 +600,13 @@ impl EngineActor {
 
     /// Buffer cache (hits, misses) — inspection.
     pub fn cache_stats(&self) -> (u64, u64) {
-        (self.pool.hits, self.pool.misses)
+        (self.txn.pool.hits, self.txn.pool.misses)
     }
 
     /// Active (running, non-synthetic) transactions — inspection.
     pub fn active_txns(&self) -> usize {
-        self.running
+        self.txn
+            .running
             .iter()
             .filter(|(c, _)| **c < CONN_SYNTHETIC_BASE)
             .count()
@@ -837,7 +625,7 @@ impl EngineActor {
     /// uncommitted transaction so logical undo records survive.
     fn pgmrpl(&self) -> Lsn {
         let mut low = self.tracker.vdl();
-        for rt in self.running.values() {
+        for rt in self.txn.running.values() {
             if rt.wrote && !rt.first_lsn.is_zero() {
                 low = low.min(Lsn(rt.first_lsn.0.saturating_sub(1)));
             }
@@ -845,50 +633,33 @@ impl EngineActor {
         low
     }
 
-    // ---- CPU scheduling ----
-
-    fn schedule_cpu(&mut self, ctx: &mut Ctx<'_>, conn: u64, cost: SimDuration) {
-        let now = ctx.now();
-        let (idx, free) = self
-            .vcpu_free
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, t)| **t)
-            .map(|(i, t)| (i, *t))
-            .unwrap();
-        let start = if free > now { free } else { now };
-        let end = start + cost;
-        self.vcpu_free[idx] = end;
-        ctx.set_timer(end - now, TAG_CPU_BASE + conn);
-    }
-
     // ---- log staging / shipping ----
 
     /// Seal a mini-transaction: allocate LSNs, thread backlinks, stage the
-    /// records, stamp cached pages. Returns (first, last) LSNs.
-    fn seal_mtr(&mut self, txn: TxnId, bodies: Vec<RecordBody>) -> Result<(Lsn, Lsn), ()> {
+    /// records, stamp cached pages. Returns (first, last) LSNs, or `None`
+    /// under LAL back-pressure.
+    fn seal_mtr(&mut self, txn: TxnId, bodies: Vec<RecordBody>) -> Option<(Lsn, Lsn)> {
         if bodies.is_empty() {
-            return Ok((Lsn::ZERO, Lsn::ZERO));
+            return Some((Lsn::ZERO, Lsn::ZERO));
         }
         let mut b = MtrBuilder::new();
         for body in bodies {
             b.push(txn, body);
         }
         let layout = self.cfg.layout.clone();
-        let records = match b.finish(
-            &mut self.alloc,
-            |p| layout.pg_of(p),
-            &mut self.chain_tails,
-            self.cfg.cpl_mode,
-        ) {
-            Ok(r) => r,
-            Err(_) => return Err(()), // LAL back-pressure
-        };
+        let records = b
+            .finish(
+                &mut self.alloc,
+                |p| layout.pg_of(p),
+                &mut self.chain_tails,
+                self.cfg.cpl_mode,
+            )
+            .ok()?; // LAL back-pressure
         let first = records.first().unwrap().lsn;
         let last = records.last().unwrap().lsn;
         for rec in &records {
             if let Some(page) = rec.page() {
-                self.pool.set_lsn(page, rec.lsn);
+                self.txn.pool.set_lsn(page, rec.lsn);
             }
             if rec.is_cpl {
                 self.staging_cpl = Some(rec.lsn);
@@ -898,7 +669,7 @@ impl EngineActor {
             }
         }
         self.staging.extend(records);
-        Ok((first, last))
+        Some((first, last))
     }
 
     /// §2.2: "The PGs that constitute a volume are allocated as the volume
@@ -1078,7 +849,7 @@ impl EngineActor {
     // ---- VDL advance reactions ----
 
     fn on_vdl_advance(&mut self, ctx: &mut Ctx<'_>, vdl: Lsn) {
-        let ids = self.hot(ctx);
+        let ids = self.txn.ids(ctx);
         self.alloc.advance_vdl(vdl);
         ctx.trace_instant("wm.vdl", SpanId::NONE, vdl.0, 0);
         ctx.gauge("engine.vdl", vdl.0);
@@ -1108,19 +879,17 @@ impl EngineActor {
         if !self.pending_inserts.is_empty() {
             let pending = std::mem::take(&mut self.pending_inserts);
             for (id, page) in pending {
-                if let Err(p) = self.pool.insert(id, page, vdl) {
+                if let Err(p) = self.txn.pool.insert(id, page, vdl) {
                     self.pending_inserts.push((id, p));
                 }
             }
         }
         // trim any bootstrap overshoot
-        self.pool.shrink_to_capacity(vdl);
+        self.txn.pool.shrink_to_capacity(vdl);
         // wake LAL waiters
-        let waiters: Vec<u64> = self.lal_waiters.drain(..).collect();
+        let waiters: Vec<u64> = self.txn.seal_waiters.drain(..).collect();
         for conn in waiters {
-            if self.running.contains_key(&conn) {
-                self.exec_current_op(ctx, conn);
-            }
+            self.exec_current_op(ctx, conn);
         }
         // tell replicas even when no records flowed
         for replica in self.cfg.replicas.clone() {
@@ -1128,9 +897,11 @@ impl EngineActor {
         }
     }
 
-    // ---- transaction execution ----
+    // ---- client requests ----
 
-    fn begin_request(&mut self, ctx: &mut Ctx<'_>, client: NodeId, req: ClientRequest) {
+    /// Admit a client transaction into the executor, or queue it across a
+    /// ZDP swap, or refuse it while the engine cannot serve.
+    fn on_client_request(&mut self, ctx: &mut Ctx<'_>, client: NodeId, req: ClientRequest) {
         if self.status == EngineStatus::Patching {
             self.patch_queue.push((client, req));
             return;
@@ -1148,387 +919,7 @@ impl EngineActor {
         }
         debug_assert!(req.conn < CONN_SYNTHETIC_BASE, "reserved conn space");
         self.known_conns.insert(req.conn);
-        let txn = TxnId(self.next_txn);
-        self.next_txn += 1;
-        let conn = req.conn;
-        let rt = RunningTxn {
-            conn,
-            client,
-            issued_at: req.issued_at,
-            spec: req.txn,
-            pc: 0,
-            results: Vec::new(),
-            txn,
-            phase: Phase::Cpu,
-            op_started: ctx.now(),
-            undo_ops: Vec::new(),
-            first_lsn: Lsn::ZERO,
-            wrote: false,
-            rollback: false,
-        };
-        self.running.insert(conn, rt);
-        self.start_op(ctx, conn);
-    }
-
-    /// Charge CPU for the current op; its body runs when the slice ends.
-    fn start_op(&mut self, ctx: &mut Ctx<'_>, conn: u64) {
-        let Some(rt) = self.running.get_mut(&conn) else {
-            return;
-        };
-        rt.op_started = ctx.now();
-        rt.phase = Phase::Cpu;
-        let cost = if rt.pc >= rt.spec.ops.len() {
-            self.cfg.cpu_per_commit
-        } else if rt.spec.ops[rt.pc].is_read() {
-            self.cfg.cpu_per_read
-        } else {
-            self.cfg.cpu_per_op
-        };
-        self.schedule_cpu(ctx, conn, cost);
-    }
-
-    /// Execute the op at `pc` (after its CPU slice, a page arrival, a lock
-    /// grant, or a LAL release).
-    fn exec_current_op(&mut self, ctx: &mut Ctx<'_>, conn: u64) {
-        let ids = self.hot(ctx);
-        let Some(rt) = self.running.get(&conn) else {
-            return;
-        };
-        if rt.pc >= rt.spec.ops.len() {
-            self.finish_txn(ctx, conn);
-            return;
-        }
-        let op = rt.spec.ops[rt.pc].clone();
-        let txn = rt.txn;
-
-        // --- lock acquisition for writes ---
-        if let Some(key) = op.write_key() {
-            match self.locks.acquire(key, txn) {
-                LockOutcome::Granted => {}
-                LockOutcome::Queued => {
-                    ctx.inc_id(ids.lock_waits, 1);
-                    let now = ctx.now();
-                    if let Some(rt) = self.running.get_mut(&conn) {
-                        rt.phase = Phase::LockWait { key, since: now };
-                    }
-                    return;
-                }
-            }
-        }
-
-        match self.try_exec_op(conn, &op) {
-            Ok(result) => {
-                let kind = match &op {
-                    Op::Get(_) => ids.select_ns,
-                    Op::Scan(_, _) => ids.scan_ns,
-                    Op::Insert(_, _) => ids.insert_ns,
-                    Op::Update(_, _) | Op::Upsert(_, _) => ids.update_ns,
-                    Op::Delete(_) => ids.delete_ns,
-                };
-                let rt = self.running.get_mut(&conn).unwrap();
-                let elapsed = ctx.now().since(rt.op_started).nanos();
-                rt.results.push(result);
-                rt.pc += 1;
-                ctx.record_id(kind, elapsed);
-                self.maybe_flush(ctx);
-                self.start_op(ctx, conn);
-            }
-            Err(ExecStall::Miss(page)) => {
-                if let Some(rt) = self.running.get_mut(&conn) {
-                    rt.phase = Phase::PageWait(page);
-                }
-                self.request_page(ctx, page, conn);
-            }
-            Err(ExecStall::Lal) => {
-                if let Some(rt) = self.running.get_mut(&conn) {
-                    rt.phase = Phase::LalWait;
-                }
-                self.lal_waiters.push_back(conn);
-                ctx.inc_id(ids.lal_stalls, 1);
-            }
-            Err(ExecStall::Abort(reason)) => {
-                self.abort_txn(ctx, conn, reason);
-            }
-        }
-    }
-
-    fn try_exec_op(&mut self, conn: u64, op: &Op) -> Result<OpResult, ExecStall> {
-        let txn = self.running.get(&conn).expect("running txn").txn;
-        let tree = self.tree;
-        match op {
-            Op::Get(k) => {
-                let mut p = EngineProvider::new(&mut self.pool);
-                match tree.get(&mut p, *k) {
-                    Ok(row) => Ok(OpResult::Row(row)),
-                    Err(e) => Err(stall_from(e)),
-                }
-            }
-            Op::Scan(k, n) => {
-                let mut p = EngineProvider::new(&mut self.pool);
-                match tree.scan(&mut p, *k, *n) {
-                    Ok(rows) => Ok(OpResult::Rows(rows)),
-                    Err(e) => Err(stall_from(e)),
-                }
-            }
-            Op::Insert(k, v) => self.write_op(txn, conn, *k, WriteKind::Insert(v.clone())),
-            Op::Update(k, v) => self.write_op(txn, conn, *k, WriteKind::Update(v.clone())),
-            Op::Upsert(k, v) => self.write_op(txn, conn, *k, WriteKind::Upsert(v.clone())),
-            Op::Delete(k) => self.write_op(txn, conn, *k, WriteKind::Delete),
-        }
-    }
-
-    /// Run structural splits (SYSTEM MTRs) until `key`'s leaf has room.
-    fn ensure_leaf_room(&mut self, key: u64) -> Result<(), ExecStall> {
-        let tree = self.tree;
-        loop {
-            let needs = {
-                let mut p = EngineProvider::new(&mut self.pool);
-                tree.needs_split(&mut p, key)
-            };
-            match needs {
-                Ok(false) => return Ok(()),
-                Ok(true) => {
-                    let bodies = {
-                        let mut p = EngineProvider::new(&mut self.pool);
-                        match tree.prepare_split(&mut p, key) {
-                            Ok(()) => p.bodies,
-                            Err(e) => return Err(stall_from(e)),
-                        }
-                    };
-                    if self.seal_mtr(TxnId::SYSTEM, bodies).is_err() {
-                        return Err(ExecStall::Lal);
-                    }
-                }
-                Err(e) => return Err(stall_from(e)),
-            }
-        }
-    }
-
-    fn write_op(
-        &mut self,
-        txn: TxnId,
-        conn: u64,
-        key: u64,
-        kind: WriteKind,
-    ) -> Result<OpResult, ExecStall> {
-        let tree = self.tree;
-        let row_size = self.cfg.row_size;
-        // Phase 1: read the old row (may miss; nothing mutated yet).
-        let old = {
-            let mut p = EngineProvider::new(&mut self.pool);
-            match tree.get(&mut p, key) {
-                Ok(v) => v,
-                Err(e) => return Err(stall_from(e)),
-            }
-        };
-        enum Act {
-            Ins(Vec<u8>),
-            Upd(Vec<u8>),
-            Del,
-        }
-        let (inverse, action) = match (&kind, old) {
-            (WriteKind::Insert(row), None) => (Op::Delete(key), Act::Ins(fit_row(row, row_size))),
-            (WriteKind::Insert(_), Some(_)) => {
-                return Err(ExecStall::Abort(format!("duplicate key {key}")))
-            }
-            (WriteKind::Update(row), Some(old)) => {
-                (Op::Update(key, old), Act::Upd(fit_row(row, row_size)))
-            }
-            (WriteKind::Update(_), None) => {
-                return Err(ExecStall::Abort(format!("key {key} not found")))
-            }
-            (WriteKind::Upsert(row), Some(old)) => {
-                (Op::Update(key, old), Act::Upd(fit_row(row, row_size)))
-            }
-            (WriteKind::Upsert(row), None) => (Op::Delete(key), Act::Ins(fit_row(row, row_size))),
-            (WriteKind::Delete, Some(old)) => (Op::Insert(key, old), Act::Del),
-            (WriteKind::Delete, None) => {
-                return Err(ExecStall::Abort(format!("key {key} not found")))
-            }
-        };
-
-        // Phase 2: structural preparation as SYSTEM mini-transactions, so
-        // user MTRs only touch row bytes (undo never reverts tree shape).
-        if matches!(action, Act::Ins(_)) {
-            self.ensure_leaf_room(key)?;
-        }
-
-        // Phase 3: the row change + its logical undo record, one user MTR.
-        let mut bodies = {
-            let mut p = EngineProvider::new(&mut self.pool);
-            let r = match &action {
-                Act::Ins(row) => tree.insert_no_split(&mut p, key, row),
-                Act::Upd(row) => tree.update(&mut p, key, row),
-                Act::Del => tree.delete(&mut p, key),
-            };
-            match r {
-                Ok(()) => p.bodies,
-                Err(e) => return Err(stall_from(e)),
-            }
-        };
-        bodies.push(RecordBody::Undo {
-            data: encode_undo(txn, &inverse),
-        });
-        let rt = self.running.get_mut(&conn).unwrap();
-        let first_write = !rt.wrote;
-        let log_begin = first_write && !rt.rollback;
-        let mut all = Vec::with_capacity(bodies.len() + 1);
-        if log_begin {
-            all.push(RecordBody::TxnBegin);
-        }
-        all.extend(bodies);
-        match self.seal_mtr(txn, all) {
-            Ok((first, _last)) => {
-                let rt = self.running.get_mut(&conn).unwrap();
-                if first_write {
-                    rt.first_lsn = first;
-                    rt.wrote = true;
-                }
-                rt.undo_ops.push(inverse);
-                Ok(OpResult::Done)
-            }
-            Err(()) => Err(ExecStall::Lal),
-        }
-    }
-
-    fn finish_txn(&mut self, ctx: &mut Ctx<'_>, conn: u64) {
-        let rt = self.running.remove(&conn).expect("running txn");
-        if rt.rollback {
-            // synthetic rollback: end with a durable TxnAbort, free locks
-            let _ = self.seal_mtr(rt.txn, vec![RecordBody::TxnAbort]);
-            self.locks.release_all(rt.txn);
-            self.resume_lock_waiters(ctx);
-            self.flush_staging(ctx, ShipReason::Forced);
-            ctx.inc("engine.rollbacks_completed", 1);
-            self.after_txn_end(ctx);
-            return;
-        }
-        if !rt.wrote {
-            // read-only: respond immediately, nothing to make durable
-            let ids = self.hot(ctx);
-            ctx.inc_id(ids.read_txns, 1);
-            ctx.inc_id(ids.commits, 1);
-            ctx.record_id(ids.txn_ns, ctx.now().since(rt.issued_at).nanos());
-            ctx.send(
-                rt.client,
-                ClientResponse {
-                    conn: rt.conn,
-                    result: TxnResult::Committed(rt.results),
-                    issued_at: rt.issued_at,
-                },
-            );
-            self.after_txn_end(ctx);
-            return;
-        }
-        // write txn: log the commit record; ack when VDL covers it
-        match self.seal_mtr(rt.txn, vec![RecordBody::TxnCommit]) {
-            Ok((_, commit_lsn)) => {
-                let ids = self.hot(ctx);
-                ctx.inc_id(ids.write_txns, 1);
-                // early lock release is safe: the VDL advances in LSN
-                // order, so a dependent commit can never out-run this one
-                self.locks.release_all(rt.txn);
-                self.resume_lock_waiters(ctx);
-                let span = ctx.trace_begin("engine.commit", SpanId::NONE, commit_lsn.0, rt.txn.0);
-                self.commit_waiters
-                    .entry(commit_lsn)
-                    .or_default()
-                    .push(PendingCommit {
-                        conn: rt.conn,
-                        client: rt.client,
-                        issued_at: rt.issued_at,
-                        results: rt.results,
-                        is_write: true,
-                        span,
-                    });
-                // the group-commit window (flush timer / batch cap) ships
-                // this; forcing a flush here would defeat batching
-                self.maybe_flush(ctx);
-                self.after_txn_end(ctx);
-            }
-            Err(()) => {
-                self.running.insert(conn, rt);
-                if let Some(rt) = self.running.get_mut(&conn) {
-                    rt.phase = Phase::LalWait;
-                }
-                self.lal_waiters.push_back(conn);
-            }
-        }
-    }
-
-    fn abort_txn(&mut self, ctx: &mut Ctx<'_>, conn: u64, reason: String) {
-        let Some(rt) = self.running.remove(&conn) else {
-            return;
-        };
-        if rt.rollback {
-            // a rollback op failed (should not happen) — drop it, free locks
-            ctx.inc("engine.rollback_errors", 1);
-            self.locks.release_all(rt.txn);
-            self.resume_lock_waiters(ctx);
-            return;
-        }
-        ctx.inc("engine.aborts", 1);
-        ctx.send(
-            rt.client,
-            ClientResponse {
-                conn: rt.conn,
-                result: TxnResult::Aborted(reason),
-                issued_at: rt.issued_at,
-            },
-        );
-        if !rt.wrote {
-            self.locks.release_all(rt.txn);
-            self.resume_lock_waiters(ctx);
-            self.after_txn_end(ctx);
-            return;
-        }
-        // logical rollback as a synthetic transaction reusing the same
-        // TxnId (so it already owns every needed lock), newest first
-        let inverse_ops: Vec<Op> = rt.undo_ops.iter().rev().cloned().collect();
-        self.spawn_rollback(ctx, rt.txn, inverse_ops);
-    }
-
-    fn spawn_rollback(&mut self, ctx: &mut Ctx<'_>, txn: TxnId, inverse_ops: Vec<Op>) {
-        let conn = self.next_synthetic_conn;
-        self.next_synthetic_conn += 1;
-        let rt = RunningTxn {
-            conn,
-            client: aurora_sim::sim::EXTERNAL,
-            issued_at: ctx.now(),
-            spec: TxnSpec { ops: inverse_ops },
-            pc: 0,
-            results: Vec::new(),
-            txn,
-            phase: Phase::Cpu,
-            op_started: ctx.now(),
-            undo_ops: Vec::new(),
-            first_lsn: Lsn::ZERO,
-            wrote: true, // suppress TxnBegin; the forward txn logged it
-            rollback: true,
-        };
-        self.running.insert(conn, rt);
-        self.start_op(ctx, conn);
-    }
-
-    fn resume_lock_waiters(&mut self, ctx: &mut Ctx<'_>) {
-        let resumable: Vec<u64> = self
-            .running
-            .iter()
-            .filter(|(_, rt)| {
-                matches!(rt.phase, Phase::LockWait { key, .. }
-                    if self.locks.owner(key) == Some(rt.txn))
-            })
-            .map(|(c, _)| *c)
-            .collect();
-        for conn in resumable {
-            self.exec_current_op(ctx, conn);
-        }
-    }
-
-    fn after_txn_end(&mut self, ctx: &mut Ctx<'_>) {
-        if self.zdp.is_some() && self.running.is_empty() && self.status == EngineStatus::Ready {
-            self.apply_zdp(ctx);
-        }
+        self.begin_request(ctx, client, req);
     }
 
     fn apply_zdp(&mut self, ctx: &mut Ctx<'_>) {
@@ -1550,46 +941,6 @@ impl EngineActor {
     }
 
     // ---- storage reads ----
-
-    fn request_page(&mut self, ctx: &mut Ctx<'_>, page: PageId, conn: u64) {
-        if let Some(req_id) = self.page_waits.get(&page) {
-            if let Some(pr) = self.reads.get_mut(req_id) {
-                if !pr.conns.contains(&conn) {
-                    pr.conns.push(conn);
-                }
-                return;
-            }
-        }
-        let read_point = self.tracker.vdl();
-        let pg = self.cfg.layout.pg_of(page);
-        let target = self.pick_segment(ctx, pg, read_point, None);
-        let req_id = self.next_req;
-        self.next_req += 1;
-        self.page_waits.insert(page, req_id);
-        self.reads.insert(
-            req_id,
-            PendingRead {
-                page,
-                read_point,
-                conns: vec![conn],
-                sent_at: ctx.now(),
-                target,
-                attempts: 1,
-            },
-        );
-        let node = self.membership(pg).slots[target.replica as usize];
-        let ids = self.hot(ctx);
-        ctx.inc_id(ids.page_fetches, 1);
-        ctx.send(
-            node,
-            swire::ReadPageReq {
-                req_id,
-                segment: target,
-                page,
-                read_point,
-            },
-        );
-    }
 
     /// §4.2.3: choose a segment whose SCL covers the read point — no
     /// quorum read needed in the normal path. The SCL is a *per-PG* LSN,
@@ -1659,13 +1010,11 @@ impl EngineActor {
             ctx.inc("oracle.read_past_read_point", 1);
         }
         let vdl = self.tracker.vdl();
-        if let Err(page) = self.pool.insert(resp.page_id, resp.page, vdl) {
+        if let Err(page) = self.txn.pool.insert(resp.page_id, resp.page, vdl) {
             self.pending_inserts.push((resp.page_id, page));
         }
         for conn in pr.conns {
-            if self.running.contains_key(&conn) {
-                self.exec_current_op(ctx, conn);
-            }
+            self.exec_current_op(ctx, conn);
         }
     }
 
@@ -1788,22 +1137,7 @@ impl EngineActor {
         let now = ctx.now();
         self.retransmit_hedged(ctx, now);
         self.decay_health(ctx, now);
-        let mut timed_out: Vec<u64> = self
-            .running
-            .iter()
-            .filter(|(_, rt)| {
-                matches!(rt.phase, Phase::LockWait { since, .. }
-                    if now.since(since) > self.cfg.lock_wait_timeout)
-            })
-            .map(|(c, _)| *c)
-            .collect();
-        // Process in connection order, not HashMap order: aborts release
-        // locks and send responses, both of which must replay identically.
-        timed_out.sort_unstable();
-        for conn in timed_out {
-            ctx.inc("engine.lock_timeouts", 1);
-            self.abort_txn(ctx, conn, "lock wait timeout".into());
-        }
+        self.expire_lock_waits(ctx);
         let mut expired: Vec<u64> = self
             .reads
             .iter()
@@ -2025,10 +1359,10 @@ impl EngineActor {
     // ---- bootstrap ----
 
     fn bootstrap(&mut self, ctx: &mut Ctx<'_>) {
-        let tree = self.tree;
+        let tree = self.txn.tree;
         {
-            self.pool.insert_unchecked(PageId(0), Page::new());
-            let mut p = EngineProvider::new(&mut self.pool);
+            self.txn.pool.insert_unchecked(PageId(0), Page::new());
+            let mut p = PoolProvider::new(&mut self.txn.pool);
             tree.create(&mut p).expect("create never misses");
             let bodies = p.bodies;
             self.seal_mtr(TxnId::SYSTEM, bodies).expect("LAL headroom");
@@ -2044,13 +1378,13 @@ impl EngineActor {
         const CHUNK: u64 = 4_000;
         let rows = self.cfg.bootstrap_rows;
         let row_size = self.cfg.row_size;
-        let tree = self.tree;
+        let tree = self.txn.tree;
         let end = (self.bootstrap_next + CHUNK).min(rows);
         for k in self.bootstrap_next..end {
             self.ensure_leaf_room(k)
                 .unwrap_or_else(|_| panic!("bootstrap split failed at {k}"));
             let bodies = {
-                let mut p = EngineProvider::new(&mut self.pool);
+                let mut p = PoolProvider::new(&mut self.txn.pool);
                 let row = bootstrap_row(k, row_size);
                 tree.insert_no_split(&mut p, k, &row)
                     .expect("bootstrap insert");
@@ -2264,7 +1598,7 @@ impl EngineActor {
         self.alloc = LsnAllocator::new(vdl, self.cfg.lal);
         self.tracker.reset(vdl);
         self.chain_tails = tails;
-        self.next_txn = max_txn + 1;
+        self.txn.next_txn = max_txn + 1;
         self.status = EngineStatus::Ready;
 
         // Logical undo, grouped per transaction, newest-first within each.
@@ -2291,7 +1625,7 @@ impl EngineActor {
         }
         // in-flight txns that never logged an undo record (begin-only)
         for t in in_flight {
-            if self.running.values().all(|rt| rt.txn != t) {
+            if self.txn.running.values().all(|rt| rt.txn != t) {
                 let _ = self.seal_mtr(t, vec![RecordBody::TxnAbort]);
             }
         }
@@ -2464,10 +1798,10 @@ impl EngineActor {
                     // in-flight transactions will never be acknowledged
                     ctx.inc("engine.fenced", 1);
                     self.status = EngineStatus::Standby;
-                    let mut conns: Vec<u64> = self.running.keys().copied().collect();
+                    let mut conns: Vec<u64> = self.txn.running.keys().copied().collect();
                     conns.sort_unstable();
                     for conn in conns {
-                        if let Some(rt) = self.running.remove(&conn) {
+                        if let Some(rt) = self.txn.running.remove(&conn) {
                             if rt.client != aurora_sim::sim::EXTERNAL {
                                 ctx.send(
                                     rt.client,
@@ -2685,6 +2019,111 @@ impl EngineActor {
     }
 }
 
+/// Aurora as the executor's backend: redo is sealed into the staging
+/// buffer under LAL back-pressure, locks drop when the commit record is
+/// sealed, and commits are acknowledged when the VDL passes them.
+impl TxnBackend for EngineActor {
+    fn core(&mut self) -> &mut TxnCore {
+        &mut self.txn
+    }
+
+    fn seal(&mut self, txn: TxnId, bodies: Vec<RecordBody>) -> Option<(Lsn, Lsn)> {
+        self.seal_mtr(txn, bodies)
+    }
+
+    /// No checkpoints and no log mutex: writes are never gated.
+    fn admit_write(&mut self, _ctx: &mut Ctx<'_>, _conn: u64) -> bool {
+        true
+    }
+
+    fn cpu_cost(&mut self, base: SimDuration) -> SimDuration {
+        base
+    }
+
+    /// Every statement is a group-commit decision point.
+    fn after_op(&mut self, ctx: &mut Ctx<'_>, _conn: u64, _write: bool) -> bool {
+        self.maybe_flush(ctx);
+        true
+    }
+
+    fn commit_write(&mut self, ctx: &mut Ctx<'_>, rt: RunningTxn, commit_lsn: Lsn) {
+        let ids = self.txn.ids(ctx);
+        ctx.inc_id(ids.write_txns, 1);
+        // early lock release is safe: the VDL advances in LSN order, so a
+        // dependent commit can never out-run this one
+        self.txn.locks.release_all(rt.txn);
+        self.resume_lock_waiters(ctx);
+        let span = ctx.trace_begin("engine.commit", SpanId::NONE, commit_lsn.0, rt.txn.0);
+        self.commit_waiters
+            .entry(commit_lsn)
+            .or_default()
+            .push(PendingCommit {
+                conn: rt.conn,
+                client: rt.client,
+                issued_at: rt.issued_at,
+                results: rt.results,
+                is_write: true,
+                span,
+            });
+        // the group-commit window (flush timer / batch cap) ships this;
+        // forcing a flush here would defeat batching
+        self.maybe_flush(ctx);
+    }
+
+    fn request_page(&mut self, ctx: &mut Ctx<'_>, page: PageId, conn: u64) {
+        if let Some(req_id) = self.page_waits.get(&page) {
+            if let Some(pr) = self.reads.get_mut(req_id) {
+                if !pr.conns.contains(&conn) {
+                    pr.conns.push(conn);
+                }
+                return;
+            }
+        }
+        let read_point = self.tracker.vdl();
+        let pg = self.cfg.layout.pg_of(page);
+        let target = self.pick_segment(ctx, pg, read_point, None);
+        let req_id = self.next_req;
+        self.next_req += 1;
+        self.page_waits.insert(page, req_id);
+        self.reads.insert(
+            req_id,
+            PendingRead {
+                page,
+                read_point,
+                conns: vec![conn],
+                sent_at: ctx.now(),
+                target,
+                attempts: 1,
+            },
+        );
+        let node = self.membership(pg).slots[target.replica as usize];
+        let ids = self.hot(ctx);
+        ctx.inc_id(ids.page_fetches, 1);
+        ctx.send(
+            node,
+            swire::ReadPageReq {
+                req_id,
+                segment: target,
+                page,
+                read_point,
+            },
+        );
+    }
+
+    /// A rollback's records ship at once: its locks are already free.
+    fn on_rollback_done(&mut self, ctx: &mut Ctx<'_>) {
+        self.flush_staging(ctx, ShipReason::Forced);
+        ctx.inc("engine.rollbacks_completed", 1);
+    }
+
+    /// A pending ZDP swap applies once no transaction is running.
+    fn after_txn_end(&mut self, ctx: &mut Ctx<'_>) {
+        if self.zdp.is_some() && self.txn.running.is_empty() && self.status == EngineStatus::Ready {
+            self.apply_zdp(ctx);
+        }
+    }
+}
+
 impl Actor for EngineActor {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: ActorEvent) {
         match ev {
@@ -2720,7 +2159,7 @@ impl Actor for EngineActor {
                     self.status = EngineStatus::Ready;
                     let queued = std::mem::take(&mut self.patch_queue);
                     for (client, req) in queued {
-                        self.begin_request(ctx, client, req);
+                        self.on_client_request(ctx, client, req);
                     }
                 }
                 TAG_BOOTSTRAP if self.status == EngineStatus::Bootstrapping => {
@@ -2739,7 +2178,7 @@ impl Actor for EngineActor {
             ActorEvent::Message { from, msg } => {
                 let msg = match msg.downcast::<ClientRequest>() {
                     Ok(req) => {
-                        self.begin_request(ctx, from, req);
+                        self.on_client_request(ctx, from, req);
                         return;
                     }
                     Err(m) => m,
@@ -2761,7 +2200,7 @@ impl Actor for EngineActor {
                 let msg = match msg.downcast::<ZdpPatch>() {
                     Ok(p) => {
                         self.zdp = Some((from, p.version));
-                        if self.running.is_empty() && self.status == EngineStatus::Ready {
+                        if self.txn.running.is_empty() && self.status == EngineStatus::Ready {
                             self.apply_zdp(ctx);
                         }
                         return;
@@ -2778,7 +2217,7 @@ impl Actor for EngineActor {
         // everything except configuration is volatile; a crashed engine is
         // not Ready until recovery completes
         self.status = EngineStatus::Recovering;
-        self.pool.clear();
+        self.txn.crash();
         self.staging.clear();
         self.staging_cpl = None;
         self.staging_pgs.clear();
@@ -2786,9 +2225,6 @@ impl Actor for EngineActor {
         // are filtered); only the guard needs resetting
         self.flush_timer = None;
         self.commit_waiters.clear();
-        self.locks = LockTable::new();
-        self.running.clear();
-        self.lal_waiters.clear();
         self.scls.clear();
         self.reads.clear();
         self.page_waits.clear();
@@ -2798,8 +2234,6 @@ impl Actor for EngineActor {
         self.recovery = None;
         self.zdp = None;
         self.patch_queue.clear();
-        let vcpus = self.cfg.instance.vcpus as usize;
-        self.vcpu_free = vec![SimTime::ZERO; vcpus];
         self.tracker.reset(Lsn::ZERO);
         self.alloc = LsnAllocator::new(Lsn::ZERO, self.cfg.lal);
         self.chain_tails.clear();
@@ -2809,6 +2243,7 @@ impl Actor for EngineActor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::txn::{encode_undo, fit_row};
 
     #[test]
     fn undo_codec_roundtrip() {
@@ -2834,6 +2269,12 @@ mod tests {
     #[test]
     fn undo_codec_rejects_bad_tag() {
         let mut data = encode_undo(TxnId(1), &Op::Delete(5)).to_vec();
+        data.push(0);
+        assert!(
+            decode_undo(&data).is_none(),
+            "trailing bytes after a delete"
+        );
+        data.pop();
         data[8] = 99;
         assert!(decode_undo(&data).is_none());
     }

@@ -16,6 +16,10 @@
 //! * [`locks`] — row-level exclusive locks with FIFO waiters and timeout
 //!   aborts,
 //! * [`wire`] — the client / replication protocol,
+//! * [`txn`] — the transaction executor both engines share: per-connection
+//!   op state machine, row locks, logical undo and rollback, vCPU model;
+//!   each engine plugs in as a [`txn::TxnBackend`] (Aurora here, MySQL in
+//!   `aurora-baseline`),
 //! * [`engine`] — the writer instance: LSN allocation with LAL
 //!   back-pressure, MTR construction, per-PG batch shipping with 4/6
 //!   quorum writes, asynchronous commit on VDL advance, read-point
@@ -42,6 +46,7 @@ pub mod engine;
 pub mod locks;
 pub mod proxy;
 pub mod replica;
+pub mod txn;
 pub mod wire;
 
 pub use btree::{BTree, BTreeError, PageEditor, PageMiss, PageProvider, TreeMeta};

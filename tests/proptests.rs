@@ -310,6 +310,28 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// undo codec: arbitrary bytes decode to None or to something that
+// re-encodes to exactly those bytes; the decoder never panics
+// ---------------------------------------------------------------------
+
+proptest! {
+    #[test]
+    fn undo_decode_rejects_or_roundtrips(
+        mut data in proptest::collection::vec(any::<u8>(), 0..48),
+        tag in 0u8..4,
+    ) {
+        // bias the tag byte toward the three valid kinds, else almost
+        // every input would be rejected on the tag alone
+        if data.len() > 8 && tag < 3 {
+            data[8] = tag;
+        }
+        if let Some((txn, op)) = aurora::core::txn::decode_undo(&data) {
+            prop_assert_eq!(aurora::core::txn::encode_undo(txn, &op).to_vec(), data);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // B+-tree vs a BTreeMap model, under random operation sequences
 // ---------------------------------------------------------------------
 

@@ -29,10 +29,10 @@ use aurora_sim::{Actor, ActorEvent, Ctx, Msg, NodeId, SimDuration, SimTime, Span
 use aurora_storage::wire as swire;
 use aurora_storage::{PgMembership, VolumeLayout};
 
+use crate::recovery::{Advance, Recovered, Recovery, Reply};
 pub use crate::txn::CONN_SYNTHETIC_BASE;
 use crate::txn::{
-    decode_undo, PoolProvider, RunningTxn, TxnBackend, TxnCore, TxnMetricNames, TxnParams,
-    TAG_CPU_BASE,
+    PoolProvider, RunningTxn, TxnBackend, TxnCore, TxnMetricNames, TxnParams, TAG_CPU_BASE,
 };
 use crate::wire::*;
 
@@ -304,32 +304,6 @@ struct PendingRead {
     attempts: u32,
 }
 
-#[derive(Default)]
-struct RecoveryState {
-    /// pg -> (replica -> (scl, highest))
-    scls: HashMap<u32, HashMap<u8, (Lsn, Lsn)>>,
-    max_epoch: VolumeEpoch,
-    vcl: Option<Lsn>,
-    cpls: HashMap<u32, Lsn>,
-    vdl: Option<Lsn>,
-    truncate_acks: HashMap<u32, HashSet<u8>>,
-    /// pg -> post-truncation chain tail, reported by a segment whose
-    /// pre-truncation SCL covered the new VDL (so its highest survivor is
-    /// the PG's true tail). The new epoch's first record per PG backlinks
-    /// here — linking to the volume-level VDL instead would park every
-    /// segment's SCL forever (the VDL is usually not on this PG's chain).
-    tails: HashMap<u32, Lsn>,
-    truncated: bool,
-    in_flight: Option<Vec<TxnId>>,
-    undo_records: Vec<LogRecord>,
-    /// PGs whose undo scan has answered (keyed so resends stay idempotent).
-    undo_done: HashSet<u32>,
-    max_txn_seen: u64,
-    started: SimTime,
-    /// Open `engine.recovery` trace span (NONE when tracing is off).
-    span: SpanId,
-}
-
 /// The writer-instance actor.
 /// Pre-resolved handles for the engine's per-event counters (see
 /// [`Ctx::inc_id`]): the commit/exec/flush loops run several metric
@@ -440,7 +414,7 @@ pub struct EngineActor {
     /// instants, so iteration order must be deterministic. Volatile —
     /// a restarted engine re-learns member health from scratch.
     health: BTreeMap<SegmentId, NodeHealth>,
-    recovery: Option<RecoveryState>,
+    recovery: Option<Recovery>,
     /// The truncation range this writer's recovery issued — replayed to
     /// segments that report [`swire::EpochBehind`] (they missed the
     /// recovery and must install the range before ingesting new-epoch
@@ -450,30 +424,6 @@ pub struct EngineActor {
     patch_queue: Vec<(NodeId, ClientRequest)>,
     known_conns: HashSet<u64>,
     bootstrap_next: u64,
-}
-
-/// Replicas of one PG able to serve a chain-complete recovery scan at
-/// `bar`: every replica whose phase-1 SCL covers it (they all hold the
-/// same chain prefix, so any answer is authoritative). If none qualifies
-/// — a provably-empty PG whose SCLs are all below a volume-level bar —
-/// fall back to the single best-known replica, which is what the initial
-/// one-shot send targeted.
-fn scan_candidates(scls: &HashMap<u8, (Lsn, Lsn)>, bar: Lsn) -> Vec<u8> {
-    // Sorted output: callers send one request per candidate, and send
-    // order must not depend on HashMap iteration order (determinism).
-    let mut complete: Vec<u8> = scls
-        .iter()
-        .filter(|(_, (scl, _))| *scl >= bar)
-        .map(|(r, _)| *r)
-        .collect();
-    if !complete.is_empty() {
-        complete.sort_unstable();
-        return complete;
-    }
-    scls.iter()
-        .max_by_key(|(r, (scl, _))| (*scl, std::cmp::Reverse(**r)))
-        .map(|(r, _)| vec![*r])
-        .unwrap_or_default()
 }
 
 /// Deterministic bootstrap row content.
@@ -1405,342 +1355,80 @@ impl EngineActor {
         }
     }
 
-    // ---- recovery (§4.3) ----
+    // ---- recovery (§4.3): the state machine is [`crate::recovery`] ----
 
     fn start_recovery(&mut self, ctx: &mut Ctx<'_>) {
         self.status = EngineStatus::Recovering;
-        let rec = RecoveryState {
-            started: ctx.now(),
-            span: ctx.trace_begin("engine.recovery", SpanId::NONE, 0, 0),
-            ..Default::default()
-        };
-        for m in self.cfg.memberships.clone() {
-            for (slot, node) in m.slots.iter().enumerate() {
-                ctx.send(
-                    *node,
-                    swire::SegmentStateReq {
-                        req_id: 0,
-                        segment: SegmentId::new(m.pg, slot as u8),
-                    },
-                );
-            }
-        }
-        self.recovery = Some(rec);
+        let span = ctx.trace_begin("engine.recovery", SpanId::NONE, 0, 0);
+        self.recovery = Some(Recovery::start(&self.cfg, ctx.now(), span));
+        self.send_recovery_requests(ctx);
         ctx.set_timer(SimDuration::from_millis(50), TAG_RECOVERY_RESEND);
     }
 
-    fn recovery_step(&mut self, ctx: &mut Ctx<'_>) {
+    /// Send what the current recovery phase still needs answered: on phase
+    /// entry, and every 50 ms (requests are fire-and-forget over a lossy
+    /// network to nodes that may be down), each to the node hosting its
+    /// segment now.
+    fn send_recovery_requests(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some(rec) = &self.recovery {
+            for (segment, msg) in rec.requests() {
+                let node = self.membership(segment.pg).slots[segment.replica as usize];
+                ctx.send_msg(node, msg);
+            }
+        }
+    }
+
+    fn on_recovery_reply(&mut self, ctx: &mut Ctx<'_>, reply: Reply) {
         let Some(rec) = self.recovery.as_mut() else {
             return;
         };
-        let read_quorum = self.cfg.quorum.read_quorum as usize;
-        let write_quorum = self.cfg.quorum.write_quorum as usize;
-        let pgs: Vec<u32> = self.cfg.memberships.iter().map(|m| m.pg.0).collect();
-
-        // Phase 1 -> 2: every PG has a read quorum of SCLs.
-        if rec.vcl.is_none() {
-            if !pgs
-                .iter()
-                .all(|pg| rec.scls.get(pg).is_some_and(|m| m.len() >= read_quorum))
-            {
-                return;
+        let span = rec.span;
+        match rec.on_reply(reply) {
+            None => {}
+            Some(Advance::Vcl(vcl)) => {
+                ctx.trace_instant("wm.vcl", span, vcl.0, 0);
+                self.send_recovery_requests(ctx);
             }
-            // Per PG, the max SCL across a read quorum bounds every record
-            // that could have reached a write quorum (any 3 of 6 intersect
-            // any 4 of 6); volume completeness is the min across PGs.
-            // PGs that are provably empty (nothing ever received) are
-            // vacuously complete and do not cap the VCL.
-            let vcl = pgs
-                .iter()
-                .filter_map(|pg| {
-                    let m = &rec.scls[pg];
-                    if m.values().all(|(_, highest)| highest.is_zero()) {
-                        None
-                    } else {
-                        m.values().map(|(scl, _)| *scl).max()
-                    }
-                })
-                .min()
-                .unwrap_or(Lsn::ZERO);
-            rec.vcl = Some(vcl);
-            ctx.trace_instant("wm.vcl", rec.span, vcl.0, 0);
-            let reqs: Vec<(NodeId, swire::CplBelowReq)> = self
-                .cfg
-                .memberships
-                .iter()
-                .map(|m| {
-                    let best = rec.scls[&m.pg.0]
-                        .iter()
-                        .max_by_key(|(r, (scl, _))| (*scl, std::cmp::Reverse(**r)))
-                        .map(|(r, _)| *r)
-                        .unwrap_or(0);
-                    (
-                        m.slots[best as usize],
-                        swire::CplBelowReq {
-                            req_id: 0,
-                            segment: SegmentId::new(m.pg, best),
-                            at: vcl,
-                        },
-                    )
-                })
-                .collect();
-            for (node, req) in reqs {
-                ctx.send(node, req);
-            }
-            return;
-        }
-
-        // Phase 2 -> 3: all CPL answers in => compute VDL, truncate.
-        if rec.vdl.is_none() {
-            if rec.cpls.len() < pgs.len() {
-                return;
-            }
-            let vdl = rec.cpls.values().copied().max().unwrap_or(Lsn::ZERO);
-            rec.vdl = Some(vdl);
-            ctx.trace_instant("wm.vdl", rec.span, vdl.0, 0);
-            let new_epoch = rec.max_epoch.next();
-            // provably above any LSN the dead incarnation could have issued
-            let ceiling = Lsn(vdl.0 + self.cfg.lal + LAL_DEFAULT);
-            let range = TruncationRange {
-                epoch: new_epoch,
-                above: vdl,
-                ceiling,
-            };
-            for m in self.cfg.memberships.clone() {
-                for (slot, node) in m.slots.iter().enumerate() {
-                    ctx.send(
-                        *node,
-                        swire::Truncate {
-                            segment: SegmentId::new(m.pg, slot as u8),
-                            range,
-                        },
-                    );
+            Some(Advance::Truncate(range)) => {
+                ctx.trace_instant("wm.vdl", span, range.above.0, 0);
+                self.send_recovery_requests(ctx);
+                // durably record the truncation in the control plane (§4.3:
+                // "written durably to the storage service so that there is no
+                // confusion … in case recovery is interrupted and restarted")
+                if let Some(control) = self.cfg.control {
+                    let segment = SegmentId::new(PgId(0), 0);
+                    ctx.send(control, swire::Truncate { segment, range });
                 }
+                self.epoch = range.epoch;
+                self.last_truncation = Some(range);
             }
-            // durably record the truncation in the control plane (§4.3:
-            // "written durably to the storage service so that there is no
-            // confusion … in case recovery is interrupted and restarted")
-            if let Some(control) = self.cfg.control {
-                ctx.send(
-                    control,
-                    swire::Truncate {
-                        segment: SegmentId::new(PgId(0), 0),
-                        range,
-                    },
-                );
-            }
-            self.epoch = new_epoch;
-            self.last_truncation = Some(range);
-            return;
+            Some(Advance::Scan) => self.send_recovery_requests(ctx),
+            Some(Advance::Recovered(done)) => self.finish_recovery(ctx, done),
         }
+    }
 
-        // Phase 3 -> 4: truncation at write quorum everywhere, and the
-        // true chain tail learned for every non-empty PG => txn scan.
-        if !rec.truncated {
-            if !pgs.iter().all(|pg| {
-                rec.truncate_acks
-                    .get(pg)
-                    .is_some_and(|s| s.len() >= write_quorum)
-            }) {
-                return;
-            }
-            if !pgs.iter().all(|pg| {
-                let empty = rec.scls[pg].values().all(|(_, highest)| highest.is_zero());
-                empty || rec.tails.contains_key(pg)
-            }) {
-                return;
-            }
-            rec.truncated = true;
-            let vdl = rec.vdl.unwrap();
-            let m0 = self.cfg.memberships[0].clone();
-            let best = rec.scls[&m0.pg.0]
-                .iter()
-                .max_by_key(|(r, (scl, _))| (*scl, std::cmp::Reverse(**r)))
-                .map(|(r, _)| *r)
-                .unwrap_or(0);
-            ctx.send(
-                m0.slots[best as usize],
-                swire::TxnScanReq {
-                    req_id: 0,
-                    segment: SegmentId::new(m0.pg, best),
-                    upto: vdl,
-                },
-            );
-            return;
-        }
-
-        // Phase 4 -> 5: in-flight set + all undo scans in => finish.
-        let Some(in_flight) = rec.in_flight.clone() else {
+    /// Install the recovered volume, then undo in-flight transactions
+    /// online through the normal write path.
+    fn finish_recovery(&mut self, ctx: &mut Ctx<'_>, done: Recovered) {
+        let Some(rec) = self.recovery.take() else {
             return;
         };
-        if pgs.iter().any(|pg| !rec.undo_done.contains(pg)) {
-            return;
-        }
-
-        let vdl = rec.vdl.unwrap();
-        let undo_records = std::mem::take(&mut rec.undo_records);
-        let max_txn = rec.max_txn_seen;
-        let started = rec.started;
-        let rec_span = rec.span;
-        // Seed each PG's backlink anchor with the PG's *true chain tail*
-        // (learned from the post-truncation SCL of a segment that was
-        // complete through the VDL), never with the volume-level VDL: the
-        // first post-recovery record's backlink must point at a real chain
-        // record or no segment can ever advance its SCL past it again.
-        // PGs with no learned tail (provably empty) restart their chain at 0.
-        let mut tails = HashMap::default();
-        for m in &self.cfg.memberships {
-            let tail = rec.tails.get(&m.pg.0).copied().unwrap_or(Lsn::ZERO);
-            tails.insert(m.pg, tail);
-        }
-        self.recovery = None;
-
-        self.alloc = LsnAllocator::new(vdl, self.cfg.lal);
-        self.tracker.reset(vdl);
-        self.chain_tails = tails;
-        self.txn.next_txn = max_txn + 1;
+        self.alloc = LsnAllocator::new(done.vdl, self.cfg.lal);
+        self.tracker.reset(done.vdl);
+        self.chain_tails = done.tails;
+        self.txn.next_txn = done.next_txn;
         self.status = EngineStatus::Ready;
-
-        // Logical undo, grouped per transaction, newest-first within each.
-        let mut per_txn: HashMap<TxnId, Vec<(Lsn, Op)>> = HashMap::default();
-        for r in &undo_records {
-            if let RecordBody::Undo { data } = &r.body {
-                if let Some((t, op)) = decode_undo(data) {
-                    if in_flight.contains(&t) {
-                        per_txn.entry(t).or_default().push((r.lsn, op));
-                    }
-                }
-            }
+        for (txn, inverse_ops) in done.rollbacks {
+            self.spawn_rollback(ctx, txn, inverse_ops);
         }
-        let mut n_undone = 0usize;
-        let mut txn_ids: Vec<TxnId> = per_txn.keys().copied().collect();
-        txn_ids.sort();
-        for t in txn_ids {
-            let mut ops = per_txn.remove(&t).unwrap();
-            ops.sort_by_key(|(l, _)| std::cmp::Reverse(*l)); // newest first
-            ops.dedup_by_key(|(l, _)| *l);
-            n_undone += ops.len();
-            let inverse_ops: Vec<Op> = ops.into_iter().map(|(_, op)| op).collect();
-            self.spawn_rollback(ctx, t, inverse_ops);
-        }
-        // in-flight txns that never logged an undo record (begin-only)
-        for t in in_flight {
-            if self.txn.running.values().all(|rt| rt.txn != t) {
-                let _ = self.seal_mtr(t, vec![RecordBody::TxnAbort]);
-            }
+        for txn in done.begin_only {
+            let _ = self.seal_mtr(txn, vec![RecordBody::TxnAbort]);
         }
         self.flush_staging(ctx, ShipReason::Forced);
         ctx.inc("engine.recoveries", 1);
-        ctx.inc("engine.recovery_undone_ops", n_undone as u64);
-        ctx.record("engine.recovery_ns", ctx.now().since(started).nanos());
-        ctx.trace_end("engine.recovery", rec_span, vdl.0, n_undone as u64);
-    }
-
-    /// Every 50ms while recovering, re-drive whichever phase is stalled.
-    /// Each recovery request is sent fire-and-forget over a lossy network
-    /// to nodes that may be down; without resends a single lost message
-    /// (or a crashed target) wedges recovery forever. Every phase's
-    /// response handler is idempotent, so over-sending is harmless.
-    fn recovery_resend(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(rec) = self.recovery.as_ref() else {
-            return;
-        };
-        // Phase 1: SCL discovery — re-poll segments that have not answered.
-        if rec.vcl.is_none() {
-            for m in &self.cfg.memberships {
-                let have = rec.scls.get(&m.pg.0);
-                for (slot, node) in m.slots.iter().enumerate() {
-                    if !have.is_some_and(|h| h.contains_key(&(slot as u8))) {
-                        ctx.send(
-                            *node,
-                            swire::SegmentStateReq {
-                                req_id: 0,
-                                segment: SegmentId::new(m.pg, slot as u8),
-                            },
-                        );
-                    }
-                }
-            }
-            return;
-        }
-        let vcl = rec.vcl.unwrap();
-        // Phase 2: CPL probes — the single "best" target may have died;
-        // ask *every* segment whose phase-1 SCL covered the VCL (they all
-        // hold the same chain prefix, so any answer is authoritative).
-        if rec.vdl.is_none() {
-            for m in &self.cfg.memberships {
-                if rec.cpls.contains_key(&m.pg.0) {
-                    continue;
-                }
-                for replica in scan_candidates(&rec.scls[&m.pg.0], vcl) {
-                    ctx.send(
-                        m.slots[replica as usize],
-                        swire::CplBelowReq {
-                            req_id: 0,
-                            segment: SegmentId::new(m.pg, replica),
-                            at: vcl,
-                        },
-                    );
-                }
-            }
-            return;
-        }
-        let vdl = rec.vdl.unwrap();
-        // Phase 3: truncation — re-send to replicas that have not acked.
-        if !rec.truncated {
-            let Some(range) = self.last_truncation else {
-                return;
-            };
-            for m in &self.cfg.memberships {
-                let acked = rec.truncate_acks.get(&m.pg.0);
-                for (slot, node) in m.slots.iter().enumerate() {
-                    if !acked.is_some_and(|s| s.contains(&(slot as u8))) {
-                        ctx.send(
-                            *node,
-                            swire::Truncate {
-                                segment: SegmentId::new(m.pg, slot as u8),
-                                range,
-                            },
-                        );
-                    }
-                }
-            }
-            return;
-        }
-        // Phase 4a: transaction scan — any PG-0 segment complete through
-        // the VDL can serve it; the response handler drops duplicates.
-        if rec.in_flight.is_none() {
-            let m0 = &self.cfg.memberships[0];
-            for replica in scan_candidates(&rec.scls[&m0.pg.0], vdl) {
-                ctx.send(
-                    m0.slots[replica as usize],
-                    swire::TxnScanReq {
-                        req_id: 0,
-                        segment: SegmentId::new(m0.pg, replica),
-                        upto: vdl,
-                    },
-                );
-            }
-            return;
-        }
-        // Phase 4b: undo scans — re-ask for PGs that have not answered.
-        let txns = rec.in_flight.clone().unwrap_or_default();
-        for m in &self.cfg.memberships {
-            if rec.undo_done.contains(&m.pg.0) {
-                continue;
-            }
-            for replica in scan_candidates(&rec.scls[&m.pg.0], vdl) {
-                ctx.send(
-                    m.slots[replica as usize],
-                    swire::UndoScanReq {
-                        req_id: 0,
-                        segment: SegmentId::new(m.pg, replica),
-                        txns: txns.clone(),
-                        upto: vdl,
-                    },
-                );
-            }
-        }
+        ctx.inc("engine.recovery_undone_ops", done.undone_ops);
+        ctx.record("engine.recovery_ns", ctx.now().since(rec.started).nanos());
+        ctx.trace_end("engine.recovery", rec.span, done.vdl.0, done.undone_ops);
     }
 
     fn on_storage_msg(&mut self, ctx: &mut Ctx<'_>, from: NodeId, msg: Msg) {
@@ -1857,126 +1545,13 @@ impl EngineActor {
             }
             Err(m) => m,
         };
-        let msg = match msg.downcast::<swire::SegmentStateResp>() {
-            Ok(resp) => {
-                if self.recovery.is_some() {
-                    let rec = self.recovery.as_mut().unwrap();
-                    rec.scls
-                        .entry(resp.segment.pg.0)
-                        .or_default()
-                        .insert(resp.segment.replica, (resp.scl, resp.highest));
-                    if resp.epoch > rec.max_epoch {
-                        rec.max_epoch = resp.epoch;
-                    }
-                    self.recovery_step(ctx);
+        let msg = match Reply::from_msg(msg) {
+            Ok(reply) => {
+                if let Reply::Truncated(ack) = &reply {
+                    // post-truncation SCL: the freshest completeness signal
+                    self.scls.insert(ack.segment, ack.scl);
                 }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<swire::CplBelowResp>() {
-            Ok(resp) => {
-                if let Some(rec) = self.recovery.as_mut() {
-                    rec.cpls.insert(resp.segment.pg.0, resp.cpl);
-                    self.recovery_step(ctx);
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<swire::TruncateAck>() {
-            Ok(ack) => {
-                // post-truncation SCL: the freshest completeness signal we
-                // have for this segment (its pre-truncation one is stale).
-                self.scls.insert(ack.segment, ack.scl);
-                if let Some(rec) = self.recovery.as_mut() {
-                    let pg = ack.segment.pg.0;
-                    rec.truncate_acks
-                        .entry(pg)
-                        .or_default()
-                        .insert(ack.segment.replica);
-                    // A segment whose phase-1 SCL covered the new VDL held
-                    // its PG's full chain prefix, so its post-truncation SCL
-                    // *is* the PG's true chain tail — record it so the
-                    // post-recovery writer chains from a real record.
-                    let complete = rec
-                        .scls
-                        .get(&pg)
-                        .and_then(|m| m.get(&ack.segment.replica))
-                        .is_some_and(|(scl, _)| rec.vdl.is_some_and(|vdl| *scl >= vdl));
-                    if complete {
-                        let t = rec.tails.entry(pg).or_insert(Lsn::ZERO);
-                        *t = (*t).max(ack.scl);
-                    }
-                    self.recovery_step(ctx);
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<swire::TxnScanResp>() {
-            Ok(resp) => {
-                let reqs: Vec<(NodeId, swire::UndoScanReq)> =
-                    if let Some(rec) = self.recovery.as_mut() {
-                        if rec.in_flight.is_some() {
-                            Vec::new() // duplicate scan response
-                        } else {
-                            let finished: HashSet<TxnId> = resp.finished.iter().copied().collect();
-                            let in_flight: Vec<TxnId> = resp
-                                .begun
-                                .iter()
-                                .filter(|t| !finished.contains(t))
-                                .copied()
-                                .collect();
-                            rec.max_txn_seen = resp
-                                .begun
-                                .iter()
-                                .chain(resp.finished.iter())
-                                .map(|t| t.0)
-                                .max()
-                                .unwrap_or(0);
-                            rec.in_flight = Some(in_flight.clone());
-                            let vdl = rec.vdl.unwrap();
-                            self.cfg
-                                .memberships
-                                .iter()
-                                .map(|m| {
-                                    let best = rec.scls[&m.pg.0]
-                                        .iter()
-                                        .max_by_key(|(_, (scl, _))| *scl)
-                                        .map(|(r, _)| *r)
-                                        .unwrap_or(0);
-                                    (
-                                        m.slots[best as usize],
-                                        swire::UndoScanReq {
-                                            req_id: 0,
-                                            segment: SegmentId::new(m.pg, best),
-                                            txns: in_flight.clone(),
-                                            upto: vdl,
-                                        },
-                                    )
-                                })
-                                .collect()
-                        }
-                    } else {
-                        Vec::new()
-                    };
-                for (node, req) in reqs {
-                    ctx.send(node, req);
-                }
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<swire::UndoScanResp>() {
-            Ok(resp) => {
-                if let Some(rec) = self.recovery.as_mut() {
-                    // keyed by PG so resent scans stay idempotent
-                    if rec.undo_done.insert(resp.segment.pg.0) {
-                        rec.undo_records.extend(resp.records);
-                    }
-                    self.recovery_step(ctx);
-                }
+                self.on_recovery_reply(ctx, reply);
                 return;
             }
             Err(m) => m,
@@ -2166,7 +1741,7 @@ impl Actor for EngineActor {
                     self.bootstrap_chunk(ctx);
                 }
                 TAG_RECOVERY_RESEND if self.recovery.is_some() => {
-                    self.recovery_resend(ctx);
+                    self.send_recovery_requests(ctx);
                     ctx.set_timer(SimDuration::from_millis(50), TAG_RECOVERY_RESEND);
                 }
                 t if t >= TAG_CPU_BASE => {
@@ -2243,7 +1818,7 @@ impl Actor for EngineActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::txn::{encode_undo, fit_row};
+    use crate::txn::{decode_undo, encode_undo, fit_row};
 
     #[test]
     fn undo_codec_roundtrip() {

@@ -45,6 +45,7 @@ pub mod cluster;
 pub mod engine;
 pub mod locks;
 pub mod proxy;
+mod recovery;
 pub mod replica;
 pub mod txn;
 pub mod wire;

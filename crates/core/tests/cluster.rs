@@ -5,7 +5,9 @@ use aurora_core::cluster::{Cluster, ClusterConfig};
 use aurora_core::engine::{bootstrap_row, EngineActor, EngineStatus};
 use aurora_core::replica::ReplicaActor;
 use aurora_core::wire::*;
+use aurora_log::SegmentId;
 use aurora_sim::{Probe, Relay, SimDuration, Zone};
+use aurora_storage::StorageNode;
 
 fn small_cluster(seed: u64) -> Cluster {
     Cluster::build(ClusterConfig {
@@ -258,6 +260,68 @@ fn crash_recovery_uncommitted_rolled_back() {
         match &committed_rows(r)[0] {
             OpResult::Row(None) => {}
             other => panic!("uncommitted write survived crash: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn recovery_does_not_wait_on_a_replica_gone_silent() {
+    // The replica a single-target probe would pick (highest SCL, lowest
+    // slot) answers recovery's SCL round, then hears nothing more from the
+    // writer. Recovery asks every complete replica for the CPL probe and
+    // the scans, so it finishes in a few round trips instead of waiting
+    // out a 50 ms resend tick.
+    let mut c = small_cluster(8);
+    c.sim.run_for(SimDuration::from_millis(200));
+    for i in 0..20u64 {
+        c.submit(i, TxnSpec::single(Op::Insert(50_000 + i, vec![5u8; 8])));
+    }
+    c.sim.run_for(SimDuration::from_millis(300));
+    assert_eq!(c.sim.metrics.counter_total("engine.write_txns"), 20);
+    c.sim.crash(c.engine);
+    c.sim.run_for(SimDuration::from_millis(50));
+
+    let pg0 = c.memberships[0].clone();
+    let scl = |c: &Cluster, slot: u8| {
+        c.sim
+            .actor::<StorageNode>(pg0.slots[slot as usize])
+            .scl(SegmentId::new(pg0.pg, slot))
+    };
+    let best = (0..pg0.slots.len() as u8)
+        .max_by_key(|s| (scl(&c, *s), std::cmp::Reverse(*s)))
+        .unwrap();
+    let silent = pg0.slots[best as usize];
+    let sent = c.sim.net().sent_by(silent).0;
+    c.sim.restart(c.engine);
+    // step until the replica has answered the SCL round, then stall it
+    while c.sim.net().sent_by(silent).0 == sent {
+        assert!(c.sim.step(), "the SCL request must reach the replica");
+    }
+    c.sim.stall_node(silent);
+    c.sim.run_for(SimDuration::from_millis(500));
+    assert_eq!(
+        c.sim.actor::<EngineActor>(c.engine).status(),
+        EngineStatus::Ready
+    );
+    let recovery = c.sim.metrics.histogram_total("engine.recovery_ns");
+    assert_eq!(recovery.count(), 1);
+    assert!(
+        recovery.max() < 50_000_000,
+        "recovery waited for a resend: {} ns",
+        recovery.max()
+    );
+
+    for i in 0..20u64 {
+        c.submit(1_000 + i, TxnSpec::single(Op::Get(50_000 + i)));
+    }
+    c.sim.run_for(SimDuration::from_millis(2_000));
+    let rs = c.responses();
+    let reads: Vec<_> = rs.iter().filter(|r| r.conn >= 1_000).collect();
+    assert_eq!(reads.len(), 20);
+    for r in reads {
+        match &committed_rows(r)[0] {
+            OpResult::Row(Some(row)) => assert_eq!(row[0], 5),
+            other => panic!("committed row lost after crash: {other:?}"),
         }
     }
 }

@@ -16,6 +16,9 @@
 //!   and the VDL (highest CPL inside that prefix),
 //! * [`epoch`] — epoch-versioned truncation ranges (§4.3: "the truncation
 //!   ranges are versioned with epoch numbers"),
+//! * [`recovery`] — the §4.3 recovery decision as pure functions: the VCL
+//!   from a read quorum of SCLs, the VDL as the highest CPL at or below it,
+//!   the truncation range, and which replicas may serve a recovery scan,
 //! * [`durability`] — the §2.2 MTTF/MTTR analysis: an analytic double-fault
 //!   model and a Monte-Carlo simulation of AZ+1 failures that shows why
 //!   small segments (fast MTTR) make quorum loss vanishingly rare.
@@ -23,6 +26,7 @@
 pub mod config;
 pub mod durability;
 pub mod epoch;
+pub mod recovery;
 pub mod tracker;
 
 pub use config::{ConfigError, QuorumConfig};

@@ -298,18 +298,22 @@ impl SegmentState {
         if self.guard.offer(range) == GuardOutcome::StaleEpoch {
             return;
         }
-        // Truncation removes records without going through `ingest`, so
-        // cached images could silently include annulled history.
+        self.drop_above(range.above);
+    }
+
+    /// Drop every log record above `above`.
+    fn drop_above(&mut self, above: Lsn) {
+        // Records leave without going through `ingest`, so cached images
+        // could silently include dropped history.
         self.mat_cache.clear();
         self.mat_order.clear();
-        let dropped_above = range.above;
-        self.log.truncate_above(dropped_above);
+        self.log.truncate_above(above);
         for lsns in self.page_index.values_mut() {
-            lsns.retain(|l| *l <= dropped_above);
+            lsns.retain(|l| *l <= above);
         }
         self.page_index.retain(|_, v| !v.is_empty());
-        if self.applied_upto > dropped_above {
-            // Materialized pages may include annulled records. Since
+        if self.applied_upto > above {
+            // Materialized pages may include dropped records. Since
             // coalescing is bounded by the VDL hint and truncation is
             // always above the final VDL, this only happens if hints ran
             // ahead of a recovery decision; rebuild pages from scratch.
@@ -322,8 +326,8 @@ impl SegmentState {
                 }
             }
         }
-        if self.vdl_hint > dropped_above {
-            self.vdl_hint = dropped_above;
+        if self.vdl_hint > above {
+            self.vdl_hint = above;
         }
     }
 }
@@ -483,28 +487,8 @@ impl StorageNode {
     /// storage node would. Bypasses the truncation guard on purpose.
     #[doc(hidden)]
     pub fn test_forget_tail(&mut self, segment: SegmentId, above: Lsn) {
-        let Some(seg) = self.segments.get_mut(&segment) else {
-            return;
-        };
-        seg.mat_cache.clear();
-        seg.mat_order.clear();
-        seg.log.truncate_above(above);
-        for lsns in seg.page_index.values_mut() {
-            lsns.retain(|l| *l <= above);
-        }
-        seg.page_index.retain(|_, v| !v.is_empty());
-        if seg.applied_upto > above {
-            seg.pages.clear();
-            seg.applied_upto = Lsn::ZERO;
-            seg.page_index.clear();
-            for rec in seg.log.iter() {
-                if let Some(p) = rec.page() {
-                    seg.page_index.entry(p).or_default().push(rec.lsn);
-                }
-            }
-        }
-        if seg.vdl_hint > above {
-            seg.vdl_hint = above;
+        if let Some(seg) = self.segments.get_mut(&segment) {
+            seg.drop_above(above);
         }
     }
 
@@ -595,9 +579,6 @@ impl StorageNode {
                     .segments
                     .entry(wb.segment)
                     .or_insert_with(SegmentState::new);
-                if wb.vdl > seg.vdl_hint {
-                    seg.vdl_hint = wb.vdl;
-                }
                 if wb.pgmrpl > seg.pgmrpl_hint {
                     seg.pgmrpl_hint = wb.pgmrpl;
                 }
@@ -620,6 +601,13 @@ impl StorageNode {
                         },
                     );
                     return;
+                }
+                // Recovery trusts this hint: everything at or below it
+                // reached a write quorum. A zombie writer's VDL may cover
+                // records our truncation annulled, so only a writer of the
+                // current epoch moves it.
+                if wb.epoch == seg.guard.epoch() && wb.vdl > seg.vdl_hint {
+                    seg.vdl_hint = wb.vdl;
                 }
                 // Fence zombie writers from a previous epoch whose records
                 // were annulled. A fenced batch is NOT acknowledged — the
@@ -844,22 +832,23 @@ impl StorageNode {
             Ok(req) => {
                 // an unknown segment is an empty segment: recovery must be
                 // able to establish that a PG was simply never written
-                let (scl, highest, epoch) = match self.segments.get(&req.segment) {
+                let (scl, highest, epoch, vdl) = match self.segments.get(&req.segment) {
                     Some(seg) => (
                         seg.log.scl().max(seg.applied_upto),
                         seg.log.highest().max(seg.applied_upto),
                         seg.guard.epoch(),
+                        seg.vdl_hint,
                     ),
-                    None => (Lsn::ZERO, Lsn::ZERO, Default::default()),
+                    None => (Lsn::ZERO, Lsn::ZERO, Default::default(), Lsn::ZERO),
                 };
                 ctx.send(
                     from,
                     SegmentStateResp {
-                        req_id: req.req_id,
                         segment: req.segment,
                         scl,
                         highest,
                         epoch,
+                        vdl,
                     },
                 );
                 return;
@@ -882,7 +871,6 @@ impl StorageNode {
                 ctx.send(
                     from,
                     CplBelowResp {
-                        req_id: req.req_id,
                         segment: req.segment,
                         cpl,
                     },
@@ -908,7 +896,6 @@ impl StorageNode {
                 ctx.send(
                     from,
                     TxnScanResp {
-                        req_id: req.req_id,
                         segment: req.segment,
                         begun,
                         finished,
@@ -934,7 +921,6 @@ impl StorageNode {
                 ctx.send(
                     from,
                     UndoScanResp {
-                        req_id: req.req_id,
                         segment: req.segment,
                         records,
                     },

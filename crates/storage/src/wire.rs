@@ -220,7 +220,6 @@ impl Payload for GossipPush {
 /// §4.3: the database "contacts for each PG a read quorum of segments").
 #[derive(Debug, Clone)]
 pub struct SegmentStateReq {
-    pub req_id: u64,
     pub segment: SegmentId,
 }
 
@@ -239,11 +238,13 @@ impl Payload for SegmentStateReq {
 /// A segment's durable state summary.
 #[derive(Debug, Clone)]
 pub struct SegmentStateResp {
-    pub req_id: u64,
     pub segment: SegmentId,
     pub scl: Lsn,
     pub highest: Lsn,
     pub epoch: VolumeEpoch,
+    /// The segment's VDL hint: the highest VDL a writer of `epoch`
+    /// published to it, capped by that epoch's truncation.
+    pub vdl: Lsn,
 }
 
 impl Payload for SegmentStateResp {
@@ -261,7 +262,6 @@ impl Payload for SegmentStateResp {
 /// Recovery: highest CPL at or below `at` held by this segment.
 #[derive(Debug, Clone)]
 pub struct CplBelowReq {
-    pub req_id: u64,
     pub segment: SegmentId,
     pub at: Lsn,
 }
@@ -281,7 +281,6 @@ impl Payload for CplBelowReq {
 /// Response to [`CplBelowReq`] (`Lsn::ZERO` if none).
 #[derive(Debug, Clone)]
 pub struct CplBelowResp {
-    pub req_id: u64,
     pub segment: SegmentId,
     pub cpl: Lsn,
 }
@@ -302,7 +301,6 @@ impl Payload for CplBelowResp {
 /// engine can rebuild its in-flight transaction list for undo.
 #[derive(Debug, Clone)]
 pub struct TxnScanReq {
-    pub req_id: u64,
     pub segment: SegmentId,
     pub upto: Lsn,
 }
@@ -322,7 +320,6 @@ impl Payload for TxnScanReq {
 /// Transactions that began / finished at or below the scan point.
 #[derive(Debug, Clone)]
 pub struct TxnScanResp {
-    pub req_id: u64,
     pub segment: SegmentId,
     pub begun: Vec<TxnId>,
     pub finished: Vec<TxnId>,
@@ -343,7 +340,6 @@ impl Payload for TxnScanResp {
 /// Recovery: fetch all records of the given transactions (for undo).
 #[derive(Debug, Clone)]
 pub struct UndoScanReq {
-    pub req_id: u64,
     pub segment: SegmentId,
     pub txns: Vec<TxnId>,
     pub upto: Lsn,
@@ -364,7 +360,6 @@ impl Payload for UndoScanReq {
 /// Records belonging to the requested transactions.
 #[derive(Debug, Clone)]
 pub struct UndoScanResp {
-    pub req_id: u64,
     pub segment: SegmentId,
     pub records: Vec<LogRecord>,
 }

@@ -546,22 +546,13 @@ fn recovery_state_queries() {
     f.sim.run_for(SimDuration::from_millis(10));
     let dst = f.nodes[0];
     let engine = f.engine;
-    f.sim.tell(
-        engine,
-        Relay::new(
-            dst,
-            SegmentStateReq {
-                req_id: 1,
-                segment: seg(0),
-            },
-        ),
-    );
+    f.sim
+        .tell(engine, Relay::new(dst, SegmentStateReq { segment: seg(0) }));
     f.sim.tell(
         engine,
         Relay::new(
             dst,
             CplBelowReq {
-                req_id: 2,
                 segment: seg(0),
                 at: Lsn(4),
             },
@@ -572,7 +563,6 @@ fn recovery_state_queries() {
         Relay::new(
             dst,
             TxnScanReq {
-                req_id: 3,
                 segment: seg(0),
                 upto: Lsn(4),
             },
@@ -583,7 +573,6 @@ fn recovery_state_queries() {
         Relay::new(
             dst,
             UndoScanReq {
-                req_id: 4,
                 segment: seg(0),
                 txns: vec![TxnId(7)],
                 upto: Lsn(4),

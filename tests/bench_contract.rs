@@ -15,6 +15,7 @@ use aurora::core::engine::EngineStatus;
 use aurora::core::proxy::ProxyConfig;
 use aurora::core::wire::{Op, TxnSpec};
 use aurora::sim::{BrownoutSpec, FaultPlan, PacketChaos, SimDuration, TracePhase};
+use aurora::storage::StorageNodeConfig;
 
 /// Which shape must make a name non-zero.
 #[derive(Clone, Copy, PartialEq)]
@@ -126,6 +127,13 @@ fn single() -> Cluster {
             spares: 3,
             with_control: true,
             bootstrap_rows: 4_000,
+            // peers keep a record past one 50 ms gossip round before
+            // coalescing and GC drop it, so a member's holes are filled by
+            // gossip rather than by a full catch-up copy
+            storage_cfg: StorageNodeConfig {
+                coalesce_interval: SimDuration::from_millis(60),
+                ..Default::default()
+            },
             ..Default::default()
         },
         |e| {
@@ -159,8 +167,8 @@ fn single() -> Cluster {
     for s in rest {
         plan = plan.flaky_link_for(ms(10), ms(600), c.engine, *s, lossy);
     }
-    // one member hears nothing from the writer for a while: its peers'
-    // gossip fills the holes
+    // one member hears nothing from the writer for a while: its peers
+    // catch it up
     let silent = PacketChaos {
         drop: 1.0,
         ..Default::default()

@@ -811,7 +811,7 @@ fn kernel_scheduler_swap_preserves_golden_digests() {
         (11, 648, 5_351_000_000),
         (17, 1115, 5_351_000_000),
         (23, 672, 5_351_000_000),
-        (42, 630, 5_351_000_000),
+        (42, 631, 5_351_000_000),
     ];
     for &(seed, commits, clock_ns) in GOLDEN {
         let report = dst::run_seed(&DstConfig {

@@ -1360,7 +1360,10 @@ mod tests {
         norender.trace = false;
         let r = run_seed(&norender);
         assert!(r.passed(), "violations: {:?}", r.violations);
-        assert!(r.telemetry.is_none(), "clean sweep seeds must not render dumps");
+        assert!(
+            r.telemetry.is_none(),
+            "clean sweep seeds must not render dumps"
+        );
     }
 
     fn small() -> ShardIsolationConfig {

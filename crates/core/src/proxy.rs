@@ -209,7 +209,14 @@ impl ProxyActor {
         }
     }
 
-    fn shed(&self, ctx: &mut Ctx<'_>, shard: usize, origin: NodeId, req: &ClientRequest, reason: &str) {
+    fn shed(
+        &self,
+        ctx: &mut Ctx<'_>,
+        shard: usize,
+        origin: NodeId,
+        req: &ClientRequest,
+        reason: &str,
+    ) {
         // Attribute the shed to the shard that was overloaded (owner =
         // that shard's writer engine) so per-shard telemetry rollups can
         // show *which* shard degraded, not just that the fleet shed.
@@ -303,12 +310,9 @@ impl ProxyActor {
         }
         // Pool-pressure gauges, sampled by the telemetry windows: how
         // much work this proxy is holding right now.
-        let (in_flight, queued) = self
-            .lanes
-            .iter()
-            .fold((0u64, 0u64), |(f, q), l| {
-                (f + l.in_flight as u64, q + l.queue.len() as u64)
-            });
+        let (in_flight, queued) = self.lanes.iter().fold((0u64, 0u64), |(f, q), l| {
+            (f + l.in_flight as u64, q + l.queue.len() as u64)
+        });
         ctx.gauge("proxy.in_flight", in_flight);
         ctx.gauge("proxy.queued_depth", queued);
         ctx.set_timer(self.cfg.sweep_every, TAG_SWEEP);

@@ -214,7 +214,10 @@ impl Histogram {
     /// An empty delta (no samples in the window) returns an empty
     /// histogram: `count() == 0`, `try_quantile` is `None`.
     pub fn delta_since(&self, prev: &Histogram) -> Histogram {
-        debug_assert!(self.total >= prev.total, "delta_since: prev is not an earlier state");
+        debug_assert!(
+            self.total >= prev.total,
+            "delta_since: prev is not an earlier state"
+        );
         let mut out = Histogram::new();
         if self.total == prev.total {
             return out; // empty window
@@ -272,7 +275,10 @@ impl Histogram {
         prev: &mut Histogram,
         slots: &mut Vec<(u32, u64)>,
     ) -> Option<WindowStats> {
-        debug_assert!(self.total >= prev.total, "fold_window: prev is not an earlier state");
+        debug_assert!(
+            self.total >= prev.total,
+            "fold_window: prev is not an earlier state"
+        );
         if self.total == prev.total {
             return None;
         }

@@ -2006,7 +2006,12 @@ mod tests {
     fn telemetry_is_observation_only_and_windows_close_on_time() {
         let run = |telemetry: bool| {
             let mut sim = Sim::new(42);
-            sim.add_node("c", Zone(0), Box::new(Chatty { ticks: 0 }), NodeOpts::default());
+            sim.add_node(
+                "c",
+                Zone(0),
+                Box::new(Chatty { ticks: 0 }),
+                NodeOpts::default(),
+            );
             if telemetry {
                 sim.enable_telemetry(TelemetryConfig {
                     interval_ns: 100_000_000,
@@ -2041,11 +2046,8 @@ mod tests {
                 .points
                 .iter()
                 .any(|p| p.metric == "work" && matches!(p.value, TelemetryValue::Delta(_))));
-            assert!(w
-                .rollups
-                .iter()
-                .any(|p| p.metric == "kernel.events_pending"
-                    && matches!(p.value, TelemetryValue::Gauge(_))));
+            assert!(w.rollups.iter().any(|p| p.metric == "kernel.events_pending"
+                && matches!(p.value, TelemetryValue::Gauge(_))));
             assert!(w
                 .rollups
                 .iter()
@@ -2054,7 +2056,10 @@ mod tests {
         // byte-identical dumps across two same-seed runs
         let again = run(true);
         let names = |o: u32| format!("n{o}");
-        assert_eq!(sampled.telemetry.ndjson(names), again.telemetry.ndjson(names));
+        assert_eq!(
+            sampled.telemetry.ndjson(names),
+            again.telemetry.ndjson(names)
+        );
         assert_eq!(sampled.telemetry.csv(names), again.telemetry.csv(names));
     }
 }

@@ -457,7 +457,8 @@ impl TelemetrySampler {
         }
         let hist_totals = metrics.raw_hist_totals();
         if self.prev_hist_totals.len() < hist_totals.len() {
-            self.prev_hist_totals.resize_with(hist_totals.len(), Vec::new);
+            self.prev_hist_totals
+                .resize_with(hist_totals.len(), Vec::new);
         }
         for (mine, theirs) in self.prev_hist_totals.iter_mut().zip(hist_totals) {
             if mine.len() < theirs.len() {
@@ -522,8 +523,7 @@ impl TelemetrySampler {
                         let h = hrow[i]
                             .as_deref()
                             .expect("hist total moved but histogram absent");
-                        let p = prev_hists[s][i]
-                            .get_or_insert_with(|| Box::new(Histogram::new()));
+                        let p = prev_hists[s][i].get_or_insert_with(|| Box::new(Histogram::new()));
                         let roll = &mut roll_hists[i];
                         if let Some(st) = h.fold_window(p, &mut roll.slots) {
                             points.push(TelemetryPoint {
@@ -602,16 +602,23 @@ impl TelemetrySampler {
                     .filter(|roll| roll.count != 0)
                     .map(|roll| {
                         let v = roll.quantile(*q) as f64;
-                        (v, *ceiling_ns as f64, v > *ceiling_ns as f64, SloUnit::Nanos)
+                        (
+                            v,
+                            *ceiling_ns as f64,
+                            v > *ceiling_ns as f64,
+                            SloUnit::Nanos,
+                        )
                     }),
                 SloKind::RatioFloor { num, denom, floor } => {
                     ratio(metrics, roll_deltas, num, denom)
                         .map(|r| (r, *floor, r < *floor, SloUnit::Ratio))
                 }
-                SloKind::RatioCeiling { num, denom, ceiling } => {
-                    ratio(metrics, roll_deltas, num, denom)
-                        .map(|r| (r, *ceiling, r > *ceiling, SloUnit::Ratio))
-                }
+                SloKind::RatioCeiling {
+                    num,
+                    denom,
+                    ceiling,
+                } => ratio(metrics, roll_deltas, num, denom)
+                    .map(|r| (r, *ceiling, r > *ceiling, SloUnit::Ratio)),
             };
             match signal {
                 Some((value, limit, true, unit)) => {
@@ -866,9 +873,10 @@ impl TelemetrySampler {
             let _ = writeln!(out, "slo burns:");
             for b in &self.burns {
                 let (v, l) = match b.unit {
-                    SloUnit::Nanos => {
-                        (format!("{:.2}ms", b.value / 1e6), format!("{:.2}ms", b.limit / 1e6))
-                    }
+                    SloUnit::Nanos => (
+                        format!("{:.2}ms", b.value / 1e6),
+                        format!("{:.2}ms", b.limit / 1e6),
+                    ),
                     SloUnit::Ratio => (format!("{:.4}", b.value), format!("{:.4}", b.limit)),
                 };
                 let _ = writeln!(
@@ -896,12 +904,7 @@ fn owner_of(slot: usize) -> u32 {
     }
 }
 
-fn ratio(
-    metrics: &MetricsRegistry,
-    deltas: &[u64],
-    num: &str,
-    denom: &str,
-) -> Option<f64> {
+fn ratio(metrics: &MetricsRegistry, deltas: &[u64], num: &str, denom: &str) -> Option<f64> {
     let d = metrics
         .lookup_id(denom)
         .and_then(|id| deltas.get(id as usize))
@@ -1230,4 +1233,3 @@ mod tests {
         assert_eq!(s.next_boundary(1_201, false), Some(1_200));
     }
 }
-

@@ -880,9 +880,9 @@ pub struct GrayfailPoint {
 /// latency, because every batch reaches quorum on the five healthy
 /// segments. Re-shipping starts to matter when batches sit *below*
 /// quorum: pairing the brownout with a few percent of global packet loss
-/// produces exactly those batches, and there the engine re-ships to the
-/// slowest unacked members early (hedges) and backs off exponentially on
-/// the browned-out one.
+/// produces exactly those batches. There the engine re-ships a batch that
+/// a later ack shows lost, hedges to the slowest unacked members when no
+/// ack does, and backs off exponentially on the browned-out one.
 pub fn grayfail(scale: f64) -> Vec<GrayfailPoint> {
     hdr("Gray failure: commit latency under brownout");
     let mut out = Vec::new();

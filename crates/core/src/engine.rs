@@ -110,9 +110,18 @@ const HEALTH_IDLE_CLEAR: SimDuration = SimDuration::from_secs(1);
 const RETRANSMIT_BASE: SimDuration = SimDuration::from_millis(15);
 /// Backoff ceiling for full retransmits.
 const RETRANSMIT_MAX: SimDuration = SimDuration::from_millis(120);
-/// A batch still below write quorum this long after its last (re)ship is
-/// hedged: re-shipped early to just its slowest unacked members.
+/// The sweep's tail probe: a batch still below write quorum this long
+/// after its last batch-wide (re)ship is hedged, re-shipped early to just
+/// its slowest unacked members. Losses that a later ack exposes are
+/// re-shipped sooner, by [`EngineActor::reship_lost`].
 const HEDGE_AFTER: SimDuration = SimDuration::from_millis(4);
+/// Floor of the reordering window in ack-clocked loss detection: how long
+/// a member may keep a batch unacked after it acked a batch sent later
+/// before the batch counts as lost there. Links are FIFO, so only the
+/// member's disk can reorder its acks, and a healthy disk reorders
+/// completions by < 0.4 ms. A slow member's window grows to half its ack
+/// EWMA.
+const LOSS_REORDER: SimDuration = SimDuration::from_millis(1);
 /// Per-sweep cap on re-ships (retransmits + hedges) per storage node, so a
 /// brownout cannot trigger a retry storm against the very node that is
 /// struggling.
@@ -263,12 +272,22 @@ struct OutBatch {
     // the records (watermark piggybacks are rebuilt fresh each send).
     by_pg: BTreeMap<PgId, Arc<[LogRecord]>>,
     acked: HashSet<(u32, u8)>,
-    /// When this batch was last (re)shipped. `engine.ack_ns` measures from
-    /// here: a late ack for a retransmitted batch is attributed to the
-    /// send that plausibly elicited it, not the original ship — measuring
-    /// from first ship would smear every network-loss retry (15ms+) into
-    /// the commit-path histogram.
+    /// When this batch first shipped. Loss detection orders batches by
+    /// it: an ack of a re-sent batch may answer any of its copies, so the
+    /// first ship is the only send time the ack certainly follows.
+    shipped_at: SimTime,
+    /// When this batch was last (re)shipped to every member it went to.
+    /// `engine.ack_ns` measures from here (or from a later loss re-ship
+    /// to that member): a late ack for a retransmitted batch is
+    /// attributed to the send that plausibly elicited it, not the original
+    /// ship — measuring from first ship would smear every network-loss
+    /// retry (15ms+) into the commit-path histogram.
     last_sent: SimTime,
+    /// Members that acked a batch sent after this one while this one
+    /// stays unacked there, in the current backoff window (see
+    /// [`EngineActor::reship_lost`]). Empty unless a member's acks came
+    /// out of order.
+    overtaken: Vec<Overtaken>,
     /// Full retransmits so far (drives the exponential backoff).
     attempts: u32,
     /// Next full-retransmit deadline.
@@ -278,6 +297,29 @@ struct OutBatch {
     hedged: bool,
     /// Open `engine.batch_quorum` trace span (NONE when tracing is off).
     span: SpanId,
+}
+
+/// One member that acked a later batch before this one.
+struct Overtaken {
+    /// (pg, replica), as in [`OutBatch::acked`].
+    member: (u32, u8),
+    /// When the first such ack arrived (since this batch last went to
+    /// the member).
+    at: SimTime,
+    /// When loss detection re-shipped this batch to the member alone.
+    reshipped: Option<SimTime>,
+}
+
+impl OutBatch {
+    /// When this batch last went to `member`: its own loss re-ship, or
+    /// the last batch-wide send if that came later.
+    fn sent_to(&self, member: (u32, u8)) -> SimTime {
+        self.overtaken
+            .iter()
+            .find(|o| o.member == member)
+            .and_then(|o| o.reshipped)
+            .map_or(self.last_sent, |t| t.max(self.last_sent))
+    }
 }
 
 /// Why a staged batch left the engine now. Traced per ship decision
@@ -733,7 +775,9 @@ impl EngineActor {
             OutBatch {
                 by_pg,
                 acked: HashSet::default(),
+                shipped_at: ctx.now(),
                 last_sent: ctx.now(),
+                overtaken: Vec::new(),
                 attempts: 0,
                 next_retry: ctx.now() + RETRANSMIT_BASE,
                 hedged: false,
@@ -1144,26 +1188,128 @@ impl EngineActor {
         SimDuration::from_nanos(capped + jitter)
     }
 
+    /// Ack-clocked loss detection, the first of three re-ship tiers (this,
+    /// then the sweep's hedge and backoff retransmit in
+    /// [`Self::retransmit_hedged`]). It is RACK (RFC 8985) specialised to
+    /// FIFO links. `segment` just acked `acked_end`, a batch first shipped
+    /// at `acked_shipped`. An older outstanding batch that this member has
+    /// not acked was sent to it first, so it arrived first: either a packet
+    /// of it (or of its ack) was lost, or the member's disk has not
+    /// completed it yet. Storage acks a batch once that batch's records
+    /// are durable, even above a hole, so a disk reorders acks by no more
+    /// than its latency spread. A batch still unacked a reordering window
+    /// `max(LOSS_REORDER, ewma / 2)` after the first ack that overtook it is
+    /// therefore lost at this member, and is re-shipped to it alone, here,
+    /// on an ack: no timer, and no re-ship without a loss.
+    ///
+    /// The window runs from the overtaking ack, not from the lost batch's
+    /// send as in plain RACK. A queue ahead of the disk (a coalesce pass)
+    /// collapses send gaps: counting from the send would declare batches
+    /// lost that are merely queued behind one sent later.
+    ///
+    /// A re-ship goes out only while the batch's PG is below write quorum,
+    /// and at most once per (batch, member) per backoff window. It does
+    /// not strike the member or advance the backoff, and the member's next
+    /// ack is timed from it.
+    fn reship_lost(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        segment: SegmentId,
+        acked_end: Lsn,
+        acked_shipped: SimTime,
+    ) {
+        let now = ctx.now();
+        let member = (segment.pg.0, segment.replica);
+        let ewma = self.health.get(&segment).map_or(0.0, |h| h.ewma_ns);
+        let reorder = SimDuration::from_nanos((ewma / 2.0) as u64).max(LOSS_REORDER);
+        let write_quorum = self.cfg.quorum.write_quorum as usize;
+        let mut lost: Vec<Lsn> = Vec::new();
+        for (&end, ob) in self.outstanding.range_mut(..acked_end) {
+            if ob.acked.contains(&member) || !ob.by_pg.contains_key(&segment.pg) {
+                continue;
+            }
+            let sent = ob.sent_to(member);
+            if sent >= acked_shipped {
+                continue; // the ack may predate this batch's last send
+            }
+            let Some(o) = ob.overtaken.iter_mut().find(|o| o.member == member) else {
+                ob.overtaken.push(Overtaken {
+                    member,
+                    at: now,
+                    reshipped: None,
+                });
+                continue;
+            };
+            if o.reshipped.is_some() {
+                continue;
+            }
+            if o.at < sent {
+                o.at = now; // overtaken again since a re-send went out
+                continue;
+            }
+            let acks = ob.acked.iter().filter(|(pg, _)| *pg == member.0).count();
+            if now >= o.at + reorder && acks < write_quorum {
+                o.reshipped = Some(now);
+                lost.push(end);
+            }
+        }
+        if lost.is_empty() {
+            return;
+        }
+        let ids = self.hot(ctx);
+        let (vdl, pgmrpl, epoch) = (self.tracker.vdl(), self.pgmrpl(), self.epoch);
+        let node = self.membership(segment.pg).slots[segment.replica as usize];
+        for batch_end in lost {
+            let ob = &self.outstanding[&batch_end];
+            ctx.trace_instant(
+                "engine.loss_reship",
+                ob.span,
+                batch_end.0,
+                health_key(segment),
+            );
+            ctx.inc_id(ids.hedged_ships, 1);
+            ctx.inc("engine.loss_reships", 1);
+            ctx.send(
+                node,
+                swire::WriteBatch {
+                    segment,
+                    records: Arc::clone(&ob.by_pg[&segment.pg]),
+                    batch_end,
+                    epoch,
+                    vdl,
+                    pgmrpl,
+                },
+            );
+        }
+    }
+
     /// Re-ship batches that have waited too long without reaching
     /// durability — covers storage nodes that were down (an AZ outage),
-    /// slow (a brownout) or lost the delivery. Idempotent at the receiver
+    /// slow (a brownout) or lost the delivery, where no later ack exposed
+    /// the loss to [`Self::reship_lost`]. Idempotent at the receiver
     /// (duplicate records are ignored; the ack is regenerated — a batch
     /// already covered by the durable prefix is fast-acked without a disk
     /// write). §2.2/§4.1: a 4/6 write quorum lets the engine treat *slow*
     /// nodes like *dead* ones. Two passes over the outstanding window,
     /// sharing one per-node re-ship budget:
     ///
-    /// 1. **Full retransmits** — batches past their backoff deadline are
-    ///    re-shipped to every unacked member; each such member takes a
-    ///    health strike (it sat on a delivery for a whole backoff window)
-    ///    and the deadline doubles, so a browned-out node sees
-    ///    geometrically *fewer* re-ships the longer it lags.
-    /// 2. **Hedges** — a batch still below write quorum [`HEDGE_AFTER`]
-    ///    past its last (re)ship gets an early re-ship to just the slowest
-    ///    (highest ack-EWMA) unacked members of the short PG — §2.2's
-    ///    "treat slow like dead" without waiting out the timer. Hedges do
-    ///    not advance the backoff clock and each backoff window hedges at
-    ///    most once.
+    /// 1. **Full retransmits** (the third tier) — batches past their
+    ///    backoff deadline are re-shipped to every unacked member; each
+    ///    such member takes a health strike (it sat on a delivery for a
+    ///    whole backoff window) and the deadline doubles, so a browned-out
+    ///    node sees geometrically *fewer* re-ships the longer it lags.
+    /// 2. **Hedges** (the second tier, a tail-loss probe) — a batch still
+    ///    below write quorum [`HEDGE_AFTER`] past its last batch-wide
+    ///    (re)ship gets an early re-ship to just the slowest (highest
+    ///    ack-EWMA) unacked members of the short PG — §2.2's "treat slow
+    ///    like dead" without waiting out the timer. Hedges do not advance
+    ///    the backoff clock and each backoff window hedges at most once.
+    ///    Slowest-first is kept on purpose: ack-clocked detection already
+    ///    covers a fast member that lost a packet, so what is left below
+    ///    quorum at 4 ms is a batch no later ack overtook, stuck on slow
+    ///    members; and the hedge fires on loss-free runs too (a coalesce
+    ///    pass stalls every disk at once), where another order would move
+    ///    their trajectories.
     fn retransmit_hedged(&mut self, ctx: &mut Ctx<'_>, now: SimTime) {
         let ids = self.hot(ctx);
         let mut node_budget: BTreeMap<NodeId, usize> = BTreeMap::new();
@@ -1222,6 +1368,7 @@ impl EngineActor {
                 let ob = self.outstanding.get_mut(&batch_end).unwrap();
                 ob.attempts += 1;
                 ob.last_sent = now;
+                ob.overtaken.clear();
                 ob.hedged = false;
                 attempts = ob.attempts;
             }
@@ -1436,18 +1583,20 @@ impl EngineActor {
             Ok(ack) => {
                 let ids = self.hot(ctx);
                 self.scls.insert(ack.segment, ack.scl);
-                let mut fresh_ack_ns = None;
+                let member = (ack.segment.pg.0, ack.segment.replica);
+                let mut fresh = None;
                 if let Some(ob) = self.outstanding.get_mut(&ack.batch_end) {
                     // `acked.insert` dedups: a duplicated ack (network
                     // chaos, regenerated by a retransmit) records nothing
-                    if ob.acked.insert((ack.segment.pg.0, ack.segment.replica)) {
-                        let ack_latency = ctx.now().since(ob.last_sent).nanos();
+                    if ob.acked.insert(member) {
+                        let ack_latency = ctx.now().since(ob.sent_to(member)).nanos();
                         ctx.record_id(ids.ack_ns, ack_latency);
-                        fresh_ack_ns = Some(ack_latency);
+                        fresh = Some((ack_latency, ob.shipped_at));
                     }
                 }
-                if let Some(ns) = fresh_ack_ns {
+                if let Some((ns, shipped_at)) = fresh {
                     self.note_ack_health(ctx, ack.segment, ns);
+                    self.reship_lost(ctx, ack.segment, ack.batch_end, shipped_at);
                 }
                 match self
                     .tracker

@@ -114,8 +114,9 @@ fn in_source(name: &str) -> bool {
 /// One seeded single cluster: a replica, a small buffer cache (reads
 /// miss), hot-key contention with a short lock timeout, a small batch
 /// size cap, a browned-out storage node (fenced and repaired), lossy
-/// writer-to-storage links with one member cut off for a while, and a
-/// writer crash mid-load.
+/// writer-to-storage links with one member cut off for a while, half the
+/// members partitioned from the writer past the first backoff step, and
+/// a writer crash mid-load.
 fn single() -> Cluster {
     let ms = SimDuration::from_millis;
     let mut c = Cluster::build_with(
@@ -174,6 +175,11 @@ fn single() -> Cluster {
         ..Default::default()
     };
     plan = plan.flaky_link_for(ms(10), ms(200), c.engine, *cut, silent);
+    // later, half the members are cut off for longer than the first
+    // backoff step: no ack exposes the loss, so a full retransmit fires
+    for s in &rest[..3] {
+        plan = plan.partition_pair_for(ms(450), ms(40), c.engine, *s);
+    }
     c.sim.install_fault_plan(&plan);
 
     let mut conn = 0u64;

@@ -805,9 +805,9 @@ fn kernel_scheduler_swap_preserves_golden_digests() {
         (0, 871, 5_351_000_000),
         (1, 852, 5_351_000_000),
         (2, 852, 5_351_000_000),
-        (3, 1168, 5_351_000_000),
+        (3, 1182, 5_351_000_000),
         (5, 1212, 5_351_000_000),
-        (7, 816, 5_351_000_000),
+        (7, 831, 5_351_000_000),
         (11, 648, 5_351_000_000),
         (17, 1115, 5_351_000_000),
         (23, 672, 5_351_000_000),

@@ -1,17 +1,20 @@
 //! Same-seed fingerprints of the Aurora workload shapes the benchmark
 //! measures (`benchmark/src/workloads.rs`): saturated writes, read misses,
-//! SysBench OLTP, open-loop commits at 2k and 48k tps, writer crashes under
-//! load, and a session fleet on a sharded deployment behind a proxy.
+//! SysBench OLTP, open-loop commits at 2k and 48k tps, open-loop commits
+//! under a disk brownout and lossy storage links, writer crashes under load,
+//! and a session fleet on a sharded deployment behind a proxy.
 //!
 //! Each shape runs a short seeded window and reports client commits and
 //! aborts, events dispatched, the final sim clock and packets per network
 //! class. Two runs must agree, and both must match the pins below. A change
 //! that claims to leave the simulation alone (a host-cost optimisation, a
 //! refactor) proves it by leaving this test green; a change that moves a
-//! pin changed behaviour on a loss-free path and must say so.
+//! pin changed behaviour and must say so. The gray shape is the only one
+//! that drops packets or slows a disk, so it is the one that pins gossip
+//! fill, gossip catch-up copies and fast acks of re-shipped duplicates.
 //!
-//! Windows are sized to keep the whole test well under five seconds in a
-//! debug build.
+//! Windows are sized to keep the whole test under five seconds in a debug
+//! build; the shapes run on parallel threads.
 
 use aurora::bench::fleet::{FleetConfig, SessionFleet};
 use aurora::bench::harness::{calib, run_aurora_with, AuroraParams, NET_CLASSES};
@@ -19,7 +22,7 @@ use aurora::bench::workload::Mix;
 use aurora::core::cluster::{ClusterConfig, ShardedCluster, ShardedConfig};
 use aurora::core::engine::InstanceSpec;
 use aurora::core::proxy::ProxyConfig;
-use aurora::sim::{FaultPlan, NodeId, NodeOpts, SimDuration, Zone};
+use aurora::sim::{BrownoutSpec, FaultPlan, NodeId, NodeOpts, PacketChaos, SimDuration, Zone};
 
 /// What one seeded run leaves behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,6 +90,38 @@ fn open(tps: f64, seed: u64) -> Fingerprint {
     let mut p = params(Mix::WriteOnly { writes: 2 }, 1_000, 64, seed);
     p.rate = Some(tps);
     p.window = ms(if tps > 10_000.0 { 25 } else { 100 });
+    harness_run(p)
+}
+
+/// Open loop at 4k tps while storage node 1's disk browns out to 8x and
+/// every writer-storage and storage-storage link drops 4% of its packets,
+/// from 10% to 90% of a window long enough for two gossip rounds.
+fn gray_loss() -> Fingerprint {
+    let mut p = params(Mix::WriteOnly { writes: 2 }, 1_000, 64, 33);
+    p.rate = Some(4_000.0);
+    p.window = ms(150);
+    let (onset, dur) = (ms(15), ms(120));
+    // node ids: the client probe, six storage nodes, then the writer
+    let members: [NodeId; 7] = [7, 1, 2, 3, 4, 5, 6];
+    let mut plan = FaultPlan::new().brownout_for(
+        onset,
+        dur,
+        1,
+        BrownoutSpec {
+            ramp_secs: dur.secs_f64() / 3.0,
+            peak_factor: 8.0,
+        },
+    );
+    let chaos = PacketChaos {
+        drop: 0.04,
+        ..Default::default()
+    };
+    for (i, a) in members.iter().enumerate() {
+        for b in &members[i + 1..] {
+            plan = plan.flaky_link_for(onset, dur, *a, *b, chaos);
+        }
+    }
+    p.fault_plan = Some(plan);
     harness_run(p)
 }
 
@@ -163,7 +198,7 @@ fn sharded_fleet() -> Fingerprint {
 #[test]
 fn workload_fingerprints_are_pinned() {
     type Shape = (&'static str, fn() -> Fingerprint, Fingerprint);
-    let pinned: [Shape; 7] = [
+    let pinned: [Shape; 8] = [
         (
             "write_sat",
             write_sat,
@@ -220,6 +255,17 @@ fn workload_fingerprints_are_pinned() {
             },
         ),
         (
+            "gray loss",
+            gray_loss,
+            Fingerprint {
+                commits: 558,
+                aborts: 0,
+                events: 18_679,
+                clock_ns: 470_000_000,
+                packets: [1122, 4149, 4028, 0, 0, 0, 19, 0, 8, 0],
+            },
+        ),
+        (
             "writer crashes",
             writer_crashes,
             Fingerprint {
@@ -242,12 +288,22 @@ fn workload_fingerprints_are_pinned() {
             },
         ),
     ];
+    // The shapes are independent simulations: run them side by side.
+    let runs: Vec<(Fingerprint, Fingerprint)> = std::thread::scope(|s| {
+        let handles: Vec<_> = pinned
+            .iter()
+            .map(|(_, run, _)| s.spawn(move || (run(), run())))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("a shape's thread panicked"))
+            .collect()
+    });
     let mut diverged = Vec::new();
-    for (name, run, pin) in pinned {
-        let first = run();
-        assert_eq!(first, run(), "{name}: two same-seed runs disagree");
+    for ((name, _, pin), (first, second)) in pinned.iter().zip(runs) {
+        assert_eq!(first, second, "{name}: two same-seed runs disagree");
         assert!(first.commits > 0, "{name}: nothing committed");
-        if first != pin {
+        if first != *pin {
             diverged.push(format!("{name}: {first:?}"));
         }
     }

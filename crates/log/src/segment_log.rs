@@ -89,21 +89,9 @@ impl SegmentLog {
         self.records.get(&lsn)
     }
 
-    /// Records in `(from, to]`, in LSN order — the gossip response payload.
-    /// Empty (never panics) when the range is empty or inverted.
-    pub fn range(&self, from_exclusive: Lsn, to_inclusive: Lsn) -> Vec<LogRecord> {
-        if from_exclusive >= to_inclusive {
-            return Vec::new();
-        }
-        self.records
-            .range(from_exclusive.next()..=to_inclusive)
-            .map(|(_, r)| r.clone())
-            .collect()
-    }
-
-    /// Borrowing variant of [`SegmentLog::range`]: records in `(from, to]`
-    /// in LSN order, without cloning. The coalescing scan applies records
-    /// in place and never needs owned copies.
+    /// Records in `(from, to]` in LSN order, borrowed: callers clone only
+    /// what they keep (gossip clones at most its batch limit). Empty, never
+    /// a panic, when the range is empty or inverted.
     pub fn range_iter(
         &self,
         from_exclusive: Lsn,
@@ -260,8 +248,12 @@ mod tests {
         for (l, p) in [(1, 0), (2, 1), (3, 2), (4, 3)] {
             s.insert(rec(l, p));
         }
-        let got: Vec<u64> = s.range(Lsn(1), Lsn(3)).iter().map(|r| r.lsn.0).collect();
-        assert_eq!(got, vec![2, 3]);
+        let got =
+            |from, to| -> Vec<u64> { s.range_iter(Lsn(from), Lsn(to)).map(|r| r.lsn.0).collect() };
+        assert_eq!(got(1, 3), vec![2, 3]);
+        assert_eq!(got(0, 4), vec![1, 2, 3, 4]);
+        assert!(got(2, 2).is_empty(), "empty range");
+        assert!(got(3, 1).is_empty(), "inverted range");
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //!   (4) gossip with peers to fill holes, (5) coalesce log into pages,
 //!   (6) stage to S3, (7) garbage-collect below the PGMRPL,
 //!   (8) scrub CRCs. Only (1)–(2) sit on the foreground latency path.
+//!   Every per-segment decision lives in the private `segment` module, a
+//!   plain struct with no `Ctx`; the actor is the shell that carries its
+//!   answers out (DESIGN §4e).
 //! * [`object_store`] — the in-simulation S3: segment snapshots plus
 //!   archived log, and point-in-time restore.
 //! * [`control`] — the control plane (the paper uses RDS + SWF +
@@ -26,6 +29,7 @@
 pub mod control;
 pub mod node;
 pub mod object_store;
+mod segment;
 pub mod volume;
 pub mod wire;
 

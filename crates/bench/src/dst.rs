@@ -313,9 +313,13 @@ pub struct DstReport {
     /// Commit-path p99 (`engine.commit_ns`) at the end of the fault
     /// window, in nanoseconds.
     pub commit_p99_ns: u64,
-    /// Final simulated clock — the strongest cheap replay digest: any
-    /// divergence in event order shows up here.
+    /// Final simulated clock. Every run stops at the same fixed length,
+    /// so this pins only that the run reached its end.
     pub clock_ns: u64,
+    /// Events the kernel dispatched over the whole run — the strongest
+    /// cheap witness of the event order: a run that schedules, drops or
+    /// reorders even one event differently dispatches a different count.
+    pub events: u64,
     pub violations: Vec<OracleViolation>,
     /// Rendered trace artifacts (only when [`DstConfig::trace`] is set).
     /// Part of the `PartialEq` digest: two same-seed traced runs must
@@ -947,6 +951,7 @@ pub fn run_plan(cfg: &DstConfig, plan: &FaultPlan) -> DstReport {
         window_commits,
         commit_p99_ns,
         clock_ns: c.sim.now().nanos(),
+        events: c.sim.events_dispatched(),
         violations: oracles.into_violations(),
         trace,
         telemetry,

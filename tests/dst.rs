@@ -791,38 +791,42 @@ fn failing_schedule_shrinks_to_minimal_reproducer() {
 }
 
 /// Golden digests captured on the pre-timer-wheel kernel (global
-/// `BinaryHeap` scheduler, PR 8 baseline): moderate-intensity runs of ten
-/// seeds, digested as (commits, final simulated clock). The final clock is
-/// the strongest cheap witness of the event order — any scheduler that
-/// reorders even one pair of same-timestamp events shifts it. The
-/// timer-wheel kernel must reproduce these bytes exactly; a legitimate
-/// behavioral change (new engine feature, retuned timer) updates this
-/// table knowingly, a scheduler bug does not get to.
+/// `BinaryHeap` scheduler): moderate-intensity runs of ten
+/// seeds, digested as (commits, final simulated clock, events dispatched).
+/// Every run stops at the same fixed length, so the clock column pins only
+/// that the run reached its end. The event count is the strongest cheap
+/// witness of the event order: a scheduler that reorders even one pair of
+/// same-timestamp events, or an engine that sends, re-ships or strikes
+/// differently, dispatches a different number of events. The events column
+/// was added later and captured on the same engine that produced the
+/// commit column. A legitimate behavioral change (new engine feature,
+/// retuned timer) updates this table knowingly; a scheduler or refactor
+/// bug does not get to.
 #[test]
 fn kernel_scheduler_swap_preserves_golden_digests() {
-    const GOLDEN: &[(u64, u64, u64)] = &[
-        // (seed, commits, clock_ns) — captured pre-swap
-        (0, 871, 5_351_000_000),
-        (1, 852, 5_351_000_000),
-        (2, 852, 5_351_000_000),
-        (3, 1182, 5_351_000_000),
-        (5, 1212, 5_351_000_000),
-        (7, 831, 5_351_000_000),
-        (11, 648, 5_351_000_000),
-        (17, 1115, 5_351_000_000),
-        (23, 672, 5_351_000_000),
-        (42, 631, 5_351_000_000),
+    const GOLDEN: &[(u64, u64, u64, u64)] = &[
+        // (seed, commits, clock_ns, events)
+        (0, 871, 5_351_000_000, 21_187),
+        (1, 852, 5_351_000_000, 20_317),
+        (2, 852, 5_351_000_000, 20_785),
+        (3, 1182, 5_351_000_000, 24_609),
+        (5, 1212, 5_351_000_000, 24_256),
+        (7, 831, 5_351_000_000, 21_164),
+        (11, 648, 5_351_000_000, 17_876),
+        (17, 1115, 5_351_000_000, 23_280),
+        (23, 672, 5_351_000_000, 17_729),
+        (42, 631, 5_351_000_000, 18_880),
     ];
-    for &(seed, commits, clock_ns) in GOLDEN {
+    for &(seed, commits, clock_ns, events) in GOLDEN {
         let report = dst::run_seed(&DstConfig {
             seed,
             ..Default::default()
         });
         assert!(report.passed(), "seed {seed}: {:?}", report.violations);
         assert_eq!(
-            (report.commits, report.clock_ns),
-            (commits, clock_ns),
-            "seed {seed}: digest diverged from the pre-swap golden"
+            (report.commits, report.clock_ns, report.events),
+            (commits, clock_ns, events),
+            "seed {seed}: digest diverged from the golden"
         );
     }
 }

@@ -12,7 +12,7 @@ use aurora::bench::harness::{run_aurora_with, AuroraParams};
 use aurora::bench::workload::Mix;
 use aurora::core::cluster::{Cluster, ClusterConfig};
 use aurora::core::engine::{EngineActor, EngineStatus};
-use aurora::core::wire::{Op, Promote, TxnResult, TxnSpec};
+use aurora::core::wire::{Op, OpResult, Promote, TxnResult, TxnSpec};
 use aurora::log::{Lsn, PgId, SegmentId};
 use aurora::quorum::VolumeEpoch;
 use aurora::sim::{BrownoutSpec, FaultPlan, PacketChaos, SimDuration, TracePhase};
@@ -261,6 +261,78 @@ fn promote_after_fence_does_not_double_arm_the_flush_timer() {
         c.sim.metrics.counter_total("engine.flush_ticks"),
         idle,
         "flush timer kept ticking with nothing staged"
+    );
+}
+
+/// A writer fenced while a sealed write sits staged, then promoted back,
+/// must not serve that write: it never reached storage and its client was
+/// never answered. Fencing ends the incarnation, so it drops the same
+/// volatile state a crash does, the buffer cache included; recovery then
+/// reads the row back from storage.
+#[test]
+fn fenced_then_promoted_writer_does_not_serve_an_unshipped_write() {
+    let mut c = Cluster::build(ClusterConfig::default());
+    c.sim.run_for(SimDuration::from_millis(300));
+    c.submit(1, TxnSpec::single(Op::Upsert(5, vec![1; 8])));
+    c.sim.run_for(SimDuration::from_millis(50));
+    assert!(
+        matches!(c.responses()[0].result, TxnResult::Committed(_)),
+        "the first write must commit"
+    );
+
+    c.sim
+        .actor_mut::<EngineActor>(c.engine)
+        .test_stall_ship(true);
+    c.submit(2, TxnSpec::single(Op::Upsert(5, vec![2; 8])));
+    c.sim.run_for(SimDuration::from_millis(20));
+    assert!(c.sim.actor::<EngineActor>(c.engine).staged_records() > 0);
+    assert!(c.responses().iter().all(|r| r.conn != 2));
+
+    c.sim.tell(
+        c.engine,
+        aurora::storage::wire::WriteFenced {
+            segment: SegmentId::new(PgId(0), 0),
+            batch_end: Lsn(0),
+            epoch: VolumeEpoch(7),
+        },
+    );
+    c.sim.run_for(SimDuration::from_millis(5));
+    assert_eq!(
+        c.sim.actor::<EngineActor>(c.engine).status(),
+        EngineStatus::Standby
+    );
+
+    c.sim
+        .actor_mut::<EngineActor>(c.engine)
+        .test_stall_ship(false);
+    c.sim.tell(c.engine, Promote);
+    let mut ready = false;
+    for _ in 0..400 {
+        c.sim.run_for(SimDuration::from_millis(10));
+        if c.sim.actor::<EngineActor>(c.engine).status() == EngineStatus::Ready {
+            ready = true;
+            break;
+        }
+    }
+    assert!(ready, "promoted writer must recover to Ready");
+
+    c.submit(3, TxnSpec::single(Op::Get(5)));
+    c.sim.run_for(SimDuration::from_millis(100));
+    let rs = c.responses();
+    let resp = rs
+        .iter()
+        .find(|r| r.conn == 3)
+        .expect("the read is answered");
+    let TxnResult::Committed(results) = &resp.result else {
+        panic!("read aborted: {:?}", resp.result);
+    };
+    let Some(OpResult::Row(Some(row))) = results.first() else {
+        panic!("row 5 is gone: {results:?}");
+    };
+    assert_eq!(
+        &row[..8],
+        &[1; 8],
+        "the writer served a write that never shipped"
     );
 }
 

@@ -42,7 +42,9 @@
 pub mod btree;
 pub mod buffer;
 pub mod cluster;
+mod commit;
 pub mod engine;
+mod health;
 pub mod locks;
 pub mod proxy;
 mod recovery;

@@ -1,5 +1,5 @@
-//! Commit-path regression tests for group commit: the flush-timer
-//! armed-guard (no doubled deadline across failover), ack latency
+//! Commit-path regression tests for group commit: the flush-timer and
+//! sweep armed-guards (no doubled timer chain across failover), ack latency
 //! attribution under packet chaos (retransmits must not smear the
 //! histogram, duplicated acks must not inflate it), the idle-pipe fast
 //! path, bit-identical replay of the timer logic, and ack-clocked loss
@@ -192,7 +192,9 @@ fn loss_detection_never_fires_without_loss() {
 /// timers — extra ticks, different batching per seed. With a one-batch
 /// pipe a steady trickle arms the group-commit deadline over and over;
 /// the armed-guard must keep the tick rate flat across the fence/promote
-/// cycle, and the deadline must stop firing once the load stops.
+/// cycle, and the deadline must stop firing once the load stops. The
+/// periodic sweep had the same bug (a fence keeps its chain running and
+/// Promote armed a second), so its 5 ms cadence is pinned too.
 #[test]
 fn promote_after_fence_does_not_double_arm_the_flush_timer() {
     let mut c = Cluster::build_with(ClusterConfig::default(), |e| {
@@ -205,14 +207,24 @@ fn promote_after_fence_does_not_double_arm_the_flush_timer() {
     );
 
     let mut conn = 0u64;
+    // (flush ticks, sweep ticks) over 300 ms of trickle
     let mut ticks_over_300ms = |c: &mut Cluster| {
-        let before = c.sim.metrics.counter_total("engine.flush_ticks");
+        let ticks = |c: &Cluster| {
+            let m = &c.sim.metrics;
+            (
+                m.counter_total("engine.flush_ticks"),
+                m.counter_total("engine.sweep_ticks"),
+            )
+        };
+        let before = ticks(c);
         trickle(c, &mut conn, 300);
-        c.sim.metrics.counter_total("engine.flush_ticks") - before
+        let after = ticks(c);
+        (after.0 - before.0, after.1 - before.1)
     };
     ticks_over_300ms(&mut c); // reach steady state
-    let baseline = ticks_over_300ms(&mut c);
+    let (baseline, sweeps) = ticks_over_300ms(&mut c);
     assert!(baseline > 0, "a full pipe must arm the flush deadline");
+    assert_eq!(sweeps, 60, "one sweep every 5 ms");
 
     // a newer writer owns the volume: fence this one down to standby
     c.sim.tell(
@@ -242,7 +254,11 @@ fn promote_after_fence_does_not_double_arm_the_flush_timer() {
     assert!(ready, "promoted writer must recover to Ready");
 
     ticks_over_300ms(&mut c); // reach steady state again
-    let after = ticks_over_300ms(&mut c);
+    let (after, sweeps) = ticks_over_300ms(&mut c);
+    assert_eq!(
+        sweeps, 60,
+        "sweep cadence changed after fence/promote (double-armed sweep)"
+    );
     assert!(
         after <= baseline + baseline / 10,
         "flush cadence grew after fence/promote (double-armed timer): \

@@ -789,10 +789,6 @@ impl TxnBackend for MysqlEngine {
             },
         );
     }
-
-    fn on_rollback_done(&mut self, _ctx: &mut Ctx<'_>) {}
-
-    fn after_txn_end(&mut self, _ctx: &mut Ctx<'_>) {}
 }
 
 impl Actor for MysqlEngine {

@@ -255,8 +255,6 @@ fn build_topology(
         layout: layout.clone(),
         memberships: memberships.clone(),
         row_size: cfg.row_size,
-        cpu_per_op: aurora_sim::SimDuration::from_micros(60),
-        read_timeout: aurora_sim::SimDuration::from_millis(20),
     };
     for r in 0..cfg.replicas {
         let zone = Zone(((r + 1) % azs as usize) as u8);

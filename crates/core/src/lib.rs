@@ -16,10 +16,10 @@
 //! * [`locks`] — row-level exclusive locks with FIFO waiters and timeout
 //!   aborts,
 //! * [`wire`] — the client / replication protocol,
-//! * [`txn`] — the transaction executor both engines share: per-connection
-//!   op state machine, row locks, logical undo and rollback, vCPU model;
-//!   each engine plugs in as a [`txn::TxnBackend`] (Aurora here, MySQL in
-//!   `aurora-baseline`),
+//! * [`txn`] — the transaction executor every instance shares:
+//!   per-connection op state machine, row locks, logical undo and
+//!   rollback, vCPU model; each plugs in as a [`txn::TxnBackend`] (the
+//!   writer and its replicas here, MySQL in `aurora-baseline`),
 //! * [`engine`] — the writer instance: LSN allocation with LAL
 //!   back-pressure, MTR construction, per-PG batch shipping with 4/6
 //!   quorum writes, asynchronous commit on VDL advance, read-point
@@ -28,7 +28,7 @@
 //!   Patching (§7.4),
 //! * [`replica`] — read replicas (§4.2.4): consume the writer's log
 //!   stream, apply records at or below the VDL to cached pages with
-//!   MTR atomicity, serve reads.
+//!   MTR atomicity, serve reads on the same executor and read path.
 //!
 //! ## Isolation scope
 //!
@@ -47,6 +47,7 @@ pub mod engine;
 mod health;
 pub mod locks;
 pub mod proxy;
+mod read_path;
 mod recovery;
 pub mod replica;
 pub mod txn;

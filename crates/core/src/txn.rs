@@ -1,13 +1,13 @@
-//! The transaction executor shared by the Aurora writer and the MySQL
-//! baseline.
+//! The transaction executor shared by the Aurora writer, its read replicas
+//! and the MySQL baseline.
 //!
 //! §5: Aurora is MySQL/InnoDB with a different IO subsystem underneath.
 //! This module is the part above that line: the per-connection op state
 //! machine, row locks, logical undo and rollback, and the vCPU model. Each
-//! engine embeds one [`TxnCore`] and implements [`TxnBackend`]; the
-//! backend's hooks are the only places the two engines differ (see
-//! DESIGN.md, "The executor/backend seam"). Dispatch is static, so the
-//! seam costs nothing on the hot path.
+//! instance embeds one [`TxnCore`] and implements [`TxnBackend`]; the
+//! backend's hooks are the only places they differ (see DESIGN.md, "The
+//! executor/backend seam"). Dispatch is static, so the seam costs nothing
+//! on the hot path.
 //!
 //! ## CPU model
 //!
@@ -397,9 +397,10 @@ impl RunningTxn {
 // The backend seam
 // ------------------------------------------------------------------
 
-/// An engine's IO backend under the shared executor. The required
-/// methods are the hooks where Aurora and MySQL differ; the provided
-/// methods are the executor itself.
+/// An instance's IO backend under the shared executor. The hooks are
+/// where the Aurora writer, its read replicas and MySQL differ; a hook
+/// with a body is neutral until a backend overrides it. The rest of the
+/// provided methods are the executor itself.
 pub trait TxnBackend {
     /// The embedded executor state.
     fn core(&mut self) -> &mut TxnCore;
@@ -412,15 +413,21 @@ pub trait TxnBackend {
 
     /// May this (non-rollback) write run now? A backend that says no owns
     /// the connection and resumes it with `exec_current_op` later.
-    fn admit_write(&mut self, ctx: &mut Ctx<'_>, conn: u64) -> bool;
+    fn admit_write(&mut self, _ctx: &mut Ctx<'_>, _conn: u64) -> bool {
+        true
+    }
 
     /// The CPU cost of a statement whose base cost is `base`.
-    fn cpu_cost(&mut self, base: SimDuration) -> SimDuration;
+    fn cpu_cost(&mut self, base: SimDuration) -> SimDuration {
+        base
+    }
 
     /// Called after each op completes. Returns whether the executor should
     /// start the connection's next op now; if not, the backend does it
     /// later with `start_op`.
-    fn after_op(&mut self, ctx: &mut Ctx<'_>, conn: u64, write: bool) -> bool;
+    fn after_op(&mut self, _ctx: &mut Ctx<'_>, _conn: u64, _write: bool) -> bool {
+        true
+    }
 
     /// A writing transaction sealed its commit record at `commit_lsn`:
     /// the backend owns it from here (lock release, durability, response).
@@ -430,11 +437,11 @@ pub trait TxnBackend {
     fn request_page(&mut self, ctx: &mut Ctx<'_>, page: PageId, conn: u64);
 
     /// A synthetic rollback sealed its `TxnAbort` and released its locks.
-    fn on_rollback_done(&mut self, ctx: &mut Ctx<'_>);
+    fn on_rollback_done(&mut self, _ctx: &mut Ctx<'_>) {}
 
     /// A transaction left the running set (commit handed off, read-only
     /// commit, or abort without writes).
-    fn after_txn_end(&mut self, ctx: &mut Ctx<'_>);
+    fn after_txn_end(&mut self, _ctx: &mut Ctx<'_>) {}
 
     // ---- provided: the executor ----
 

@@ -25,7 +25,7 @@ const PATTERNS: [&str; 6] = [
 const PINNED: [(&str, usize); 7] = [
     ("baseline", 3),
     ("bench", 25),
-    ("core", 33),
+    ("core", 24),
     ("log", 3),
     ("quorum", 2),
     ("sim", 15),

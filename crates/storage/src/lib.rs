@@ -16,7 +16,9 @@
 //!   (1) receive & queue, (2) persist & ACK, (3) sort / find gaps,
 //!   (4) gossip with peers to fill holes, (5) coalesce log into pages,
 //!   (6) stage to S3, (7) garbage-collect below the PGMRPL,
-//!   (8) scrub CRCs. Only (1)–(2) sit on the foreground latency path.
+//!   (8) scrub CRCs. Only (1)–(2) sit on the foreground latency path;
+//!   a pass's page writes go to disk in 64 KiB chunks, one in flight, so
+//!   a log write waits behind at most one of them.
 //!   Every per-segment decision lives in the private `segment` module, a
 //!   plain struct with no `Ctx`; the actor is the shell that carries its
 //!   answers out (DESIGN §4e).
@@ -29,6 +31,7 @@
 pub mod control;
 pub mod node;
 pub mod object_store;
+mod page_writes;
 mod segment;
 pub mod volume;
 pub mod wire;

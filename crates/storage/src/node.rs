@@ -14,7 +14,10 @@
 //! simulated disk write before the ack goes out; everything else runs on
 //! timers and is skipped while the foreground queue is deep (§3.3:
 //! "background processing has negative correlation with foreground
-//! processing").
+//! processing"). Log and page writes share the node's one disk queue, so
+//! a coalesce pass's page writes go out as 64 KiB chunks, one in flight
+//! at a time ([`PageWrites`]): a log write waits behind at most one chunk,
+//! never behind a whole pass.
 //!
 //! Every per-segment decision (admit, fence, fast-ack, read nack, gossip,
 //! install, truncate, the recovery answers, coalesce, GC, backup, scrub)
@@ -32,6 +35,7 @@ use aurora_sim::hash::FxHashMap;
 use aurora_sim::{Actor, ActorEvent, Ctx, Msg, NodeId, SimDuration, SimTime, SpanId, Tag};
 
 use crate::object_store::ObjectStore;
+use crate::page_writes::PageWrites;
 use crate::segment::{Gossip, Segment, Write};
 use crate::wire::*;
 
@@ -111,7 +115,8 @@ enum PendingOp {
         t: Truncate,
     },
     PersistRepair(RepairFetchResp),
-    Background,
+    /// One chunk of the coalesce passes' page writes.
+    PageWrite,
 }
 
 /// Every message a storage node acts on, tried in this order: the
@@ -163,6 +168,7 @@ struct HotIds {
     gossip_filled: aurora_sim::MetricId,
     coalesced: aurora_sim::MetricId,
     gc_records: aurora_sim::MetricId,
+    page_write_chunks: aurora_sim::MetricId,
 }
 
 impl HotIds {
@@ -175,6 +181,7 @@ impl HotIds {
             gossip_filled: ctx.metric_id("storage.gossip_filled"),
             coalesced: ctx.metric_id("storage.coalesced"),
             gc_records: ctx.metric_id("storage.gc_records"),
+            page_write_chunks: ctx.metric_id("storage.page_write_chunks"),
         }
     }
 }
@@ -191,6 +198,8 @@ pub struct StorageNode {
     segments: BTreeMap<SegmentId, Segment>,
     /// Volatile.
     pending: FxHashMap<Tag, PendingOp>,
+    /// Volatile: the coalesce passes' unwritten pages.
+    page_writes: PageWrites,
     next_op: Tag,
     /// Test hook: serve reads materialized past the read point (see
     /// [`StorageNode::test_serve_future`]).
@@ -207,6 +216,7 @@ impl StorageNode {
             cfg,
             segments: BTreeMap::new(),
             pending: FxHashMap::default(),
+            page_writes: PageWrites::default(),
             next_op: TAG_OP_BASE,
             serve_future: false,
             nack_reads: false,
@@ -317,6 +327,15 @@ impl StorageNode {
         self.next_op += 1;
         self.pending.insert(tag, op);
         tag
+    }
+
+    /// Put the next page-write chunk on the disk, unless one is there.
+    fn write_next_chunk(&mut self, ctx: &mut Ctx<'_>, ids: HotIds) {
+        if let Some(bytes) = self.page_writes.next_chunk() {
+            let tag = self.op(PendingOp::PageWrite);
+            ctx.inc_id(ids.page_write_chunks, 1);
+            ctx.disk_write(bytes, tag);
+        }
     }
 
     fn schedule_all_timers(&self, ctx: &mut Ctx<'_>) {
@@ -534,7 +553,10 @@ impl StorageNode {
                     }
                 }
             }
-            PendingOp::Background => {}
+            PendingOp::PageWrite => {
+                self.page_writes.done();
+                self.write_next_chunk(ctx, ids);
+            }
         }
     }
 
@@ -569,6 +591,12 @@ impl StorageNode {
                 ctx.set_timer(self.cfg.gossip_interval, TAG_GOSSIP);
             }
             TAG_COALESCE => {
+                // Bytes earlier passes have not yet issued: 0 unless a
+                // pass outran the disk.
+                ctx.gauge(
+                    "storage.page_write_backlog",
+                    self.page_writes.backlog() as u64,
+                );
                 if !self.busy() {
                     let mut total_applied = 0usize;
                     let mut total_dirty = 0usize;
@@ -580,12 +608,10 @@ impl StorageNode {
                         total_dirty += dirty;
                         total_gc += seg.gc(archiving);
                     }
-                    if total_dirty > 0 {
-                        // Background page materialization IO (never on the
-                        // foreground path).
-                        let tag = self.op(PendingOp::Background);
-                        ctx.disk_write(total_dirty * aurora_log::PAGE_SIZE, tag);
-                    }
+                    // Background page materialization IO, chunked so the
+                    // log writes behind it wait for one chunk at most.
+                    self.page_writes.add(total_dirty * aurora_log::PAGE_SIZE);
+                    self.write_next_chunk(ctx, ids);
                     if total_applied > 0 {
                         ctx.trace_instant(
                             "storage.coalesce",
@@ -656,5 +682,6 @@ impl Actor for StorageNode {
         // Volatile: in-flight (unacked) operations vanish; durable segment
         // state — log, pages, truncation guard — survives.
         self.pending.clear();
+        self.page_writes.crash();
     }
 }

@@ -807,13 +807,13 @@ fn kernel_scheduler_swap_preserves_golden_digests() {
     const GOLDEN: &[(u64, u64, u64, u64)] = &[
         // (seed, commits, clock_ns, events)
         (0, 871, 5_351_000_000, 21_187),
-        (1, 852, 5_351_000_000, 20_317),
+        (1, 852, 5_351_000_000, 20_323),
         (2, 852, 5_351_000_000, 20_785),
         (3, 1182, 5_351_000_000, 24_609),
         (5, 1212, 5_351_000_000, 24_256),
         (7, 831, 5_351_000_000, 21_164),
         (11, 648, 5_351_000_000, 17_876),
-        (17, 1115, 5_351_000_000, 23_280),
+        (17, 1124, 5_351_000_000, 23_417),
         (23, 672, 5_351_000_000, 17_729),
         (42, 631, 5_351_000_000, 18_880),
     ];

@@ -68,7 +68,7 @@ fn replica_reads_retry_past_a_dead_storage_node() {
             c.sim.events_dispatched(),
             c.sim.now().nanos(),
         ),
-        (217, 33, 6_206, 3_414_000_000),
+        (217, 41, 6_418, 3_414_000_000),
         "(page fetches, read retries, events dispatched, final clock)"
     );
 }

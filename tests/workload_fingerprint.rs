@@ -203,11 +203,11 @@ fn workload_fingerprints_are_pinned() {
             "write_sat",
             write_sat,
             Fingerprint {
-                commits: 940,
+                commits: 932,
                 aborts: 0,
-                events: 13_814,
+                events: 13_773,
                 clock_ns: 345_000_000,
-                packets: [1880, 804, 801, 0, 0, 514, 0, 0, 0, 0],
+                packets: [1864, 798, 800, 0, 0, 522, 0, 0, 0, 0],
             },
         ),
         (
@@ -225,11 +225,11 @@ fn workload_fingerprints_are_pinned() {
             "oltp_mixed",
             oltp_mixed,
             Fingerprint {
-                commits: 256,
+                commits: 252,
                 aborts: 0,
-                events: 14_065,
+                events: 14_261,
                 clock_ns: 360_000_000,
-                packets: [512, 1230, 1230, 0, 0, 800, 9, 0, 0, 0],
+                packets: [508, 1284, 1290, 0, 0, 842, 12, 0, 0, 0],
             },
         ),
         (
@@ -238,53 +238,53 @@ fn workload_fingerprints_are_pinned() {
             Fingerprint {
                 commits: 179,
                 aborts: 0,
-                events: 9148,
+                events: 9302,
                 clock_ns: 420_000_000,
-                packets: [354, 2004, 2018, 0, 0, 0, 20, 0, 0, 0],
+                packets: [354, 2034, 2048, 0, 0, 0, 18, 0, 0, 0],
             },
         ),
         (
             "open 48k tps",
             || open(48_000.0, 17),
             Fingerprint {
-                commits: 1172,
+                commits: 1168,
                 aborts: 0,
-                events: 17_843,
+                events: 17_886,
                 clock_ns: 345_000_000,
-                packets: [2377, 804, 806, 0, 0, 0, 0, 0, 0, 0],
+                packets: [2373, 810, 811, 0, 0, 0, 0, 0, 0, 0],
             },
         ),
         (
             "gray loss",
             gray_loss,
             Fingerprint {
-                commits: 558,
+                commits: 556,
                 aborts: 0,
-                events: 18_679,
+                events: 18_520,
                 clock_ns: 470_000_000,
-                packets: [1122, 4149, 4028, 0, 0, 0, 19, 0, 8, 0],
+                packets: [1120, 4063, 3949, 0, 0, 0, 19, 0, 11, 0],
             },
         ),
         (
             "writer crashes",
             writer_crashes,
             Fingerprint {
-                commits: 408,
+                commits: 413,
                 aborts: 0,
-                events: 9572,
+                events: 9616,
                 clock_ns: 440_000_000,
-                packets: [794, 354, 370, 7, 7, 0, 12, 108, 0, 0],
+                packets: [804, 330, 346, 3, 3, 0, 12, 108, 0, 0],
             },
         ),
         (
             "sharded fleet",
             sharded_fleet,
             Fingerprint {
-                commits: 948,
-                aborts: 309,
-                events: 18_329,
+                commits: 943,
+                aborts: 305,
+                events: 17_994,
                 clock_ns: 150_000_000,
-                packets: [4646, 3834, 3820, 0, 0, 0, 78, 0, 0, 0],
+                packets: [4613, 3702, 3696, 0, 0, 0, 77, 0, 0, 0],
             },
         ),
     ];

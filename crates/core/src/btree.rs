@@ -30,29 +30,34 @@ pub type PagePatch = (u32, Vec<u8>, Vec<u8>);
 /// Mutation capture: wraps a resident page and records byte patches as
 /// `(offset, before, after)` for the redo log.
 pub struct PageEditor<'a> {
-    page: &'a mut Page,
+    /// The page's bytes, made writable (copied if shared) once, up front.
+    bytes: &'a mut [u8],
     patches: &'a mut Vec<PagePatch>,
 }
 
 impl<'a> PageEditor<'a> {
     pub fn new(page: &'a mut Page, patches: &'a mut Vec<PagePatch>) -> Self {
-        PageEditor { page, patches }
+        PageEditor {
+            bytes: page.bytes_mut(),
+            patches,
+        }
     }
 
     /// Current page contents.
     pub fn bytes(&self) -> &[u8] {
-        self.page.bytes()
+        self.bytes
     }
 
     /// Overwrite a range, capturing the patch. No-op if identical.
     pub fn set(&mut self, offset: usize, data: &[u8]) {
-        let before = &self.page.bytes()[offset..offset + data.len()];
+        let range = offset..offset + data.len();
+        let before = &self.bytes[range.clone()];
         if before == data {
             return;
         }
         self.patches
             .push((offset as u32, before.to_vec(), data.to_vec()));
-        self.page.write_range(offset, data);
+        self.bytes[range].copy_from_slice(data);
     }
 
     pub fn set_u8(&mut self, offset: usize, v: u8) {

@@ -12,24 +12,40 @@
 //! below the VDL**. Pages carrying changes above the VDL must stay
 //! resident because storage cannot yet serve their latest version.)
 //!
-//! The same pool serves the baseline engine, where eviction of a dirty
-//! page instead forces a page write (returned to the caller to charge IO).
+//! The same pool serves the baseline engine, which takes the LRU victim
+//! from [`BufferPool::lru_victim`] and flushes it first if it is dirty.
+//!
+//! Frames sit in a slab threaded by a doubly linked recency list, so a
+//! hit moves its frame to the most-recent end and an eviction walks from
+//! the least-recent end: both O(1) in the common case, where the victim
+//! is at or near that end, with no allocation past the slab's growth.
 
 use aurora_sim::hash::{FxBuildHasher, FxHashMap as HashMap};
 
 use aurora_log::{Lsn, Page, PageId};
 
+/// End of the recency list.
+const NIL: u32 = u32::MAX;
+
 struct Frame {
+    id: PageId,
     page: Page,
-    last_use: u64,
     dirty: bool,
+    /// Neighbour slots toward the least-recent end and the most-recent end.
+    older: u32,
+    newer: u32,
 }
 
 /// A fixed-capacity page cache with LRU eviction.
 pub struct BufferPool {
-    frames: HashMap<PageId, Frame>,
+    /// Page id → its slot in `frames`.
+    index: HashMap<PageId, u32>,
+    /// Dense slab of resident frames; removal swaps the last one in.
+    frames: Vec<Frame>,
+    /// Least- and most-recently used slots (`NIL` when empty).
+    lru: u32,
+    mru: u32,
     capacity: usize,
-    tick: u64,
     /// Cache statistics.
     pub hits: u64,
     pub misses: u64,
@@ -40,9 +56,11 @@ impl BufferPool {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         BufferPool {
-            frames: HashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
+            index: HashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
+            frames: Vec::new(),
+            lru: NIL,
+            mru: NIL,
             capacity,
-            tick: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -62,46 +80,50 @@ impl BufferPool {
     }
 
     pub fn contains(&self, id: PageId) -> bool {
-        self.frames.contains_key(&id)
+        self.index.contains_key(&id)
     }
 
-    /// Borrow a resident page, bumping its recency. Counts hit/miss.
-    pub fn get(&mut self, id: PageId) -> Option<&Page> {
-        self.tick += 1;
-        match self.frames.get_mut(&id) {
-            Some(f) => {
-                f.last_use = self.tick;
+    /// The slot of a resident page, moved to the most-recent end. Counts
+    /// hit/miss.
+    fn touch(&mut self, id: PageId) -> Option<usize> {
+        match self.index.get(&id) {
+            Some(&slot) => {
                 self.hits += 1;
-                Some(&f.page)
+                if slot != self.mru {
+                    self.unlink(slot);
+                    self.link_newest(slot);
+                }
+                Some(slot as usize)
             }
             None => {
                 self.misses += 1;
                 None
             }
         }
+    }
+
+    /// Borrow a resident page, bumping its recency. Counts hit/miss.
+    pub fn get(&mut self, id: PageId) -> Option<&Page> {
+        let slot = self.touch(id)?;
+        Some(&self.frames[slot].page)
     }
 
     /// Borrow mutably (engine mutation path); bumps recency and marks the
     /// frame dirty (meaningful for the baseline; harmless for Aurora).
     pub fn get_mut(&mut self, id: PageId) -> Option<&mut Page> {
-        self.tick += 1;
-        match self.frames.get_mut(&id) {
-            Some(f) => {
-                f.last_use = self.tick;
-                f.dirty = true;
-                self.hits += 1;
-                Some(&mut f.page)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let slot = self.touch(id)?;
+        let frame = &mut self.frames[slot];
+        frame.dirty = true;
+        Some(&mut frame.page)
     }
 
     /// Peek without recency/statistics effects.
     pub fn peek(&self, id: PageId) -> Option<&Page> {
-        self.frames.get(&id).map(|f| &f.page)
+        self.index.get(&id).map(|&s| &self.frames[s as usize].page)
+    }
+
+    fn peek_mut(&mut self, id: PageId) -> Option<&mut Frame> {
+        self.index.get(&id).map(|&s| &mut self.frames[s as usize])
     }
 
     /// Insert a page fetched from storage (clean). If the pool is full,
@@ -110,38 +132,26 @@ impl BufferPool {
     /// frame is evictable (caller must stall until the VDL advances —
     /// in practice the VDL advances continuously and this is momentary).
     pub fn insert(&mut self, id: PageId, page: Page, vdl: Lsn) -> Result<(), Page> {
-        if let Some(f) = self.frames.get_mut(&id) {
-            // Re-fetch raced with an existing frame: keep the newer image.
-            if page.lsn > f.page.lsn {
-                f.page = page;
-            }
+        if let Some(&slot) = self.index.get(&id) {
+            self.refresh(slot, page);
             return Ok(());
         }
         if self.frames.len() >= self.capacity && !self.evict_one(vdl) {
             return Err(page);
         }
-        self.tick += 1;
-        self.frames.insert(
-            id,
-            Frame {
-                page,
-                last_use: self.tick,
-                dirty: false,
-            },
-        );
+        self.push(id, page);
         Ok(())
     }
 
+    /// Evict the least-recently-used page at or below `vdl`, if any.
     fn evict_one(&mut self, vdl: Lsn) -> bool {
-        let victim = self
-            .frames
-            .iter()
-            .filter(|(id, f)| f.page.lsn <= vdl && id.0 != 0)
-            .min_by_key(|(_, f)| f.last_use)
-            .map(|(id, _)| *id);
+        let victim = self.oldest_first().find(|&s| {
+            let f = &self.frames[s];
+            f.id.0 != 0 && f.page.lsn <= vdl
+        });
         match victim {
-            Some(id) => {
-                self.frames.remove(&id);
+            Some(slot) => {
+                self.remove_slot(slot);
                 self.evictions += 1;
                 true
             }
@@ -149,65 +159,30 @@ impl BufferPool {
         }
     }
 
-    /// Baseline variant: evict LRU regardless of LSN; a dirty victim is
-    /// returned so the caller can charge the flush IO (and the double
-    /// write) before reuse.
-    pub fn insert_traditional(&mut self, id: PageId, page: Page) -> Option<(PageId, bool)> {
-        if self.frames.contains_key(&id) {
-            self.frames.get_mut(&id).unwrap().page = page;
-            return None;
-        }
-        let mut flushed = None;
-        if self.frames.len() >= self.capacity {
-            if let Some(victim) = self
-                .frames
-                .iter()
-                .min_by_key(|(_, f)| f.last_use)
-                .map(|(id, _)| *id)
-            {
-                let f = self.frames.remove(&victim).unwrap();
-                self.evictions += 1;
-                flushed = Some((victim, f.dirty));
-            }
-        }
-        self.tick += 1;
-        self.frames.insert(
-            id,
-            Frame {
-                page,
-                last_use: self.tick,
-                dirty: false,
-            },
-        );
-        flushed
-    }
-
     /// Insert without evicting — used for freshly allocated pages inside
     /// an operation (eviction mid-op could pull a page out from under the
     /// B+-tree) and during bootstrap. The pool may temporarily exceed its
     /// capacity; [`BufferPool::shrink_to_capacity`] trims it back.
     pub fn insert_unchecked(&mut self, id: PageId, page: Page) {
-        if let Some(f) = self.frames.get_mut(&id) {
-            if page.lsn > f.page.lsn {
-                f.page = page;
-            }
-            return;
+        match self.index.get(&id) {
+            Some(&slot) => self.refresh(slot, page),
+            None => self.push(id, page),
         }
-        self.tick += 1;
-        self.frames.insert(
-            id,
-            Frame {
-                page,
-                last_use: self.tick,
-                dirty: false,
-            },
-        );
+    }
+
+    /// A re-fetch raced with a resident frame: keep the newer image,
+    /// without a recency bump.
+    fn refresh(&mut self, slot: u32, page: Page) {
+        let f = &mut self.frames[slot as usize];
+        if page.lsn > f.page.lsn {
+            f.page = page;
+        }
     }
 
     /// Stamp a resident page's LSN (after the log manager assigned LSNs to
     /// the records produced by an in-cache mutation).
     pub fn set_lsn(&mut self, id: PageId, lsn: Lsn) {
-        if let Some(f) = self.frames.get_mut(&id) {
+        if let Some(f) = self.peek_mut(id) {
             if lsn > f.page.lsn {
                 f.page.lsn = lsn;
             }
@@ -217,39 +192,23 @@ impl BufferPool {
     /// Evict durable LRU pages until the pool is back within capacity.
     /// The meta page (page 0) is never evicted — it anchors allocation.
     pub fn shrink_to_capacity(&mut self, vdl: Lsn) {
-        while self.frames.len() > self.capacity {
-            let victim = self
-                .frames
-                .iter()
-                .filter(|(id, f)| f.page.lsn <= vdl && id.0 != 0)
-                .min_by_key(|(_, f)| f.last_use)
-                .map(|(id, _)| *id);
-            match victim {
-                Some(id) => {
-                    self.frames.remove(&id);
-                    self.evictions += 1;
-                }
-                None => break,
-            }
-        }
+        while self.frames.len() > self.capacity && self.evict_one(vdl) {}
     }
 
     /// The current LRU victim (id, dirty) without removing it — the
     /// baseline engine must flush dirty victims before eviction.
     pub fn lru_victim(&self) -> Option<(PageId, bool)> {
-        self.frames
-            .iter()
-            .filter(|(id, _)| id.0 != 0)
-            .min_by_key(|(_, f)| f.last_use)
-            .map(|(id, f)| (*id, f.dirty))
+        self.oldest_first()
+            .map(|s| &self.frames[s])
+            .find(|f| f.id.0 != 0)
+            .map(|f| (f.id, f.dirty))
     }
 
     /// Drop a specific frame (after the baseline flushed it).
     pub fn remove(&mut self, id: PageId) -> Option<Page> {
-        self.frames.remove(&id).map(|f| {
-            self.evictions += 1;
-            f.page
-        })
+        let slot = *self.index.get(&id)? as usize;
+        self.evictions += 1;
+        Some(self.remove_slot(slot))
     }
 
     /// Dirty page ids (baseline checkpointing).
@@ -257,8 +216,8 @@ impl BufferPool {
         let mut v: Vec<PageId> = self
             .frames
             .iter()
-            .filter(|(_, f)| f.dirty)
-            .map(|(id, _)| *id)
+            .filter(|f| f.dirty)
+            .map(|f| f.id)
             .collect();
         v.sort_unstable();
         v
@@ -266,14 +225,17 @@ impl BufferPool {
 
     /// Mark a page clean after the baseline flushed it.
     pub fn mark_clean(&mut self, id: PageId) {
-        if let Some(f) = self.frames.get_mut(&id) {
+        if let Some(f) = self.peek_mut(id) {
             f.dirty = false;
         }
     }
 
     /// Drop everything (engine crash loses the cache — it is volatile).
     pub fn clear(&mut self) {
+        self.index.clear();
         self.frames.clear();
+        self.lru = NIL;
+        self.mru = NIL;
     }
 
     /// Cache hit ratio so far.
@@ -284,6 +246,76 @@ impl BufferPool {
         } else {
             self.hits as f64 / total as f64
         }
+    }
+
+    // ---- the slab and its recency list ----
+
+    /// Slots from least to most recently used.
+    fn oldest_first(&self) -> impl Iterator<Item = usize> + '_ {
+        let slot = |s: u32| (s != NIL).then_some(s as usize);
+        std::iter::successors(slot(self.lru), move |&s| slot(self.frames[s].newer))
+    }
+
+    /// Append a new frame at the most-recent end.
+    fn push(&mut self, id: PageId, page: Page) {
+        let slot = self.frames.len() as u32;
+        self.frames.push(Frame {
+            id,
+            page,
+            dirty: false,
+            older: NIL,
+            newer: NIL,
+        });
+        self.index.insert(id, slot);
+        self.link_newest(slot);
+    }
+
+    /// Take a frame out of the slab, moving the last frame into its slot.
+    fn remove_slot(&mut self, slot: usize) -> Page {
+        self.unlink(slot as u32);
+        let frame = self.frames.swap_remove(slot);
+        self.index.remove(&frame.id);
+        if slot < self.frames.len() {
+            // the former last frame now lives at `slot`: repoint its links
+            let (id, older, newer) = {
+                let moved = &self.frames[slot];
+                (moved.id, moved.older, moved.newer)
+            };
+            let s = slot as u32;
+            self.index.insert(id, s);
+            match older {
+                NIL => self.lru = s,
+                o => self.frames[o as usize].newer = s,
+            }
+            match newer {
+                NIL => self.mru = s,
+                n => self.frames[n as usize].older = s,
+            }
+        }
+        frame.page
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Frame { older, newer, .. } = self.frames[slot as usize];
+        match older {
+            NIL => self.lru = newer,
+            o => self.frames[o as usize].newer = newer,
+        }
+        match newer {
+            NIL => self.mru = older,
+            n => self.frames[n as usize].older = older,
+        }
+    }
+
+    fn link_newest(&mut self, slot: u32) {
+        let frame = &mut self.frames[slot as usize];
+        frame.older = self.mru;
+        frame.newer = NIL;
+        match self.mru {
+            NIL => self.lru = slot,
+            m => self.frames[m as usize].newer = slot,
+        }
+        self.mru = slot;
     }
 }
 
@@ -342,18 +374,6 @@ mod tests {
         assert_eq!(pool.peek(PageId(1)).unwrap().lsn, Lsn(5));
         pool.insert(PageId(1), page_at(8), Lsn(10)).unwrap();
         assert_eq!(pool.peek(PageId(1)).unwrap().lsn, Lsn(8));
-    }
-
-    #[test]
-    fn traditional_eviction_reports_dirty_victim() {
-        let mut pool = BufferPool::new(1);
-        assert!(pool.insert_traditional(PageId(1), page_at(1)).is_none());
-        let _ = pool.get_mut(PageId(1)); // dirty it
-        let flushed = pool.insert_traditional(PageId(2), page_at(2));
-        assert_eq!(flushed, Some((PageId(1), true)));
-        // clean victim reports dirty=false
-        let flushed = pool.insert_traditional(PageId(3), page_at(3));
-        assert_eq!(flushed, Some((PageId(2), false)));
     }
 
     #[test]

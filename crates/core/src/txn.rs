@@ -106,12 +106,7 @@ impl<'a> PoolProvider<'a> {
 
 impl<'a> PageProvider for PoolProvider<'a> {
     fn read(&mut self, id: PageId) -> Result<&Page, PageMiss> {
-        // double lookup to satisfy NLL (conditional borrow return)
-        if self.pool.get(id).is_some() {
-            Ok(self.pool.peek(id).expect("resident: get just found it"))
-        } else {
-            Err(PageMiss(id))
-        }
+        self.pool.get(id).ok_or(PageMiss(id))
     }
 
     fn write(

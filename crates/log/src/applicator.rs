@@ -87,8 +87,11 @@ pub fn apply_record(page: &mut Page, record: &LogRecord) -> Result<(), ApplyErro
                     });
                 }
             }
+            // one copy-on-write check per record, not per patch
+            let bytes = page.bytes_mut();
             for p in patches {
-                page.write_range(p.offset as usize, &p.after);
+                let off = p.offset as usize;
+                bytes[off..off + p.after.len()].copy_from_slice(&p.after);
             }
             page.lsn = record.lsn;
             Ok(())
@@ -100,8 +103,9 @@ pub fn apply_record(page: &mut Page, record: &LogRecord) -> Result<(), ApplyErro
                     len: init.len(),
                 });
             }
-            page.bytes_mut().fill(0);
-            page.write_range(0, init);
+            let bytes = page.bytes_mut();
+            bytes.fill(0);
+            bytes[..init.len()].copy_from_slice(init);
             page.lsn = record.lsn;
             Ok(())
         }

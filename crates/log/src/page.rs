@@ -8,6 +8,13 @@
 //!
 //! `PAGE_SIZE` is 4 KiB here (InnoDB uses 16 KiB); it is a pure scale
 //! constant — nothing in the protocol depends on it.
+//!
+//! A page's bytes are copy-on-write: cloning a [`Page`] shares them, and
+//! the first write through either clone copies them. One image can so
+//! travel from a segment's coalesced base through a read response into
+//! the writer's buffer pool without a copy.
+
+use std::sync::Arc;
 
 use bytes::Bytes;
 
@@ -23,7 +30,9 @@ pub struct PageId(pub u64);
 /// A materialized page: data plus the LSN of the last applied record.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Page {
-    data: Vec<u8>,
+    /// Shared between clones until one of them writes. A fixed-size
+    /// array keeps the pointer thin, so a `Page` is 16 bytes.
+    data: Arc<[u8; PAGE_SIZE]>,
     /// LSN of the newest log record reflected in `data`; `Lsn::ZERO` for a
     /// freshly formatted page.
     pub lsn: Lsn,
@@ -39,7 +48,7 @@ impl Page {
     /// A zero-filled page at LSN 0.
     pub fn new() -> Page {
         Page {
-            data: vec![0u8; PAGE_SIZE],
+            data: Arc::new([0; PAGE_SIZE]),
             lsn: Lsn::ZERO,
         }
     }
@@ -47,21 +56,24 @@ impl Page {
     /// Build from raw bytes (must be exactly `PAGE_SIZE` long).
     pub fn from_bytes(data: Vec<u8>, lsn: Lsn) -> Page {
         assert_eq!(data.len(), PAGE_SIZE, "page must be {PAGE_SIZE} bytes");
-        Page { data, lsn }
+        let mut page = Page { lsn, ..Page::new() };
+        page.bytes_mut().copy_from_slice(&data);
+        page
     }
 
     /// Read-only view of the page contents.
     #[inline]
     pub fn bytes(&self) -> &[u8] {
-        &self.data
+        &self.data[..]
     }
 
-    /// Mutable view. Callers that mutate through this are responsible for
-    /// producing the corresponding redo patches (see
-    /// [`crate::record::Patch::capture`]) and bumping [`Page::lsn`].
+    /// Mutable view, copying the bytes first if a clone shares them.
+    /// Callers that mutate through this are responsible for producing the
+    /// corresponding redo patches (see [`crate::record::Patch::capture`])
+    /// and bumping [`Page::lsn`].
     #[inline]
     pub fn bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.data
+        &mut Arc::make_mut(&mut self.data)[..]
     }
 
     /// Copy a byte range out (for before-images).
@@ -69,15 +81,15 @@ impl Page {
         Bytes::copy_from_slice(&self.data[offset..offset + len])
     }
 
-    /// Overwrite a byte range.
+    /// Overwrite a byte range (copy-on-write, as [`Page::bytes_mut`]).
     pub fn write_range(&mut self, offset: usize, bytes: &[u8]) {
-        self.data[offset..offset + bytes.len()].copy_from_slice(bytes);
+        self.bytes_mut()[offset..offset + bytes.len()].copy_from_slice(bytes);
     }
 
     /// A CRC32 of the page contents, used by the storage scrubber
     /// (Fig. 4 step 8 "periodically validate CRC codes on pages").
     pub fn crc(&self) -> u32 {
-        crate::codec::crc32(&self.data)
+        crate::codec::crc32(&self.data[..])
     }
 }
 
@@ -114,6 +126,33 @@ mod tests {
         let c0 = p.crc();
         p.write_range(0, &[1]);
         assert_ne!(p.crc(), c0);
+    }
+
+    #[test]
+    fn a_clone_shares_bytes_until_either_side_writes() {
+        let mut a = Page::new();
+        a.write_range(0, b"base");
+        let mut b = a.clone();
+        assert_eq!(a.bytes().as_ptr(), b.bytes().as_ptr());
+        b.write_range(0, b"next");
+        assert_ne!(a.bytes().as_ptr(), b.bytes().as_ptr());
+        assert_eq!(&a.bytes()[..4], b"base");
+        assert_eq!(&b.bytes()[..4], b"next");
+        // the other direction: the original writes, the clone keeps its bytes
+        let c = a.clone();
+        assert_eq!(a.bytes().as_ptr(), c.bytes().as_ptr());
+        a.bytes_mut()[0] = b'B';
+        assert_eq!(&a.bytes()[..4], b"Base");
+        assert_eq!(&c.bytes()[..4], b"base");
+        // a sole owner writes in place
+        let before = b.bytes().as_ptr();
+        b.write_range(4, b"!");
+        assert_eq!(b.bytes().as_ptr(), before);
+    }
+
+    #[test]
+    fn a_page_is_a_thin_pointer_and_an_lsn() {
+        assert_eq!(std::mem::size_of::<Page>(), 16);
     }
 
     #[test]

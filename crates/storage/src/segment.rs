@@ -270,19 +270,18 @@ impl Segment {
     /// observes is a pure function of the page's record chain at or below
     /// `read_point`, so a cached image whose LSN matches the newest
     /// applicable record can be returned verbatim; a colder one is rolled
-    /// forward instead of re-applying the whole history.
+    /// forward instead of re-applying the whole history. With no indexed
+    /// record in (base LSN, `read_point`] the coalesced base is the image:
+    /// it is returned as is, sharing its bytes, and not cached.
     fn materialize_cached(&mut self, page_id: PageId, read_point: Lsn) -> Page {
         let base = self.pages.get(&page_id).cloned().unwrap_or_default();
-        let want = match self.page_index.get(&page_id) {
-            Some(lsns) => {
-                let end = lsns.partition_point(|&l| l <= read_point);
-                if end > 0 {
-                    lsns[end - 1].max(base.lsn)
-                } else {
-                    base.lsn
-                }
-            }
-            None => base.lsn,
+        let newest = self.page_index.get(&page_id).and_then(|lsns| {
+            let end = lsns.partition_point(|&l| l <= read_point);
+            end.checked_sub(1).map(|i| lsns[i])
+        });
+        let want = match newest {
+            Some(lsn) if lsn > base.lsn => lsn,
+            _ => return base,
         };
         let seed = match self.mat_cache.get(&page_id) {
             Some(c) if c.lsn == want => return c.clone(),
@@ -979,6 +978,39 @@ mod tests {
             read_point: Lsn(4),
         });
         assert_eq!(resp.page, base);
+    }
+
+    /// A read with no record above the coalesced base is served the base
+    /// itself, sharing its bytes and bypassing the cache; coalescing newer
+    /// records into that page afterwards copies the base, leaving the
+    /// served image as it was.
+    #[test]
+    fn a_read_at_the_base_shares_it_and_a_later_coalesce_leaves_it_intact() {
+        let mut seg = Segment::default();
+        persist(&mut seg, &batch(chain(1..=6), 0, Lsn(6)));
+        assert_eq!(seg.coalesce(), (6, 3));
+        let served = seg
+            .serve(&ReadPageReq {
+                req_id: 1,
+                segment: slot(0),
+                page: PageId(0),
+                read_point: Lsn(6),
+            })
+            .page;
+        assert_eq!(served.lsn, Lsn(6));
+        assert_eq!(
+            served.bytes().as_ptr(),
+            seg.pages[&PageId(0)].bytes().as_ptr()
+        );
+        assert!(seg.mat_cache.is_empty());
+        let before = served.bytes().to_vec();
+        persist(&mut seg, &batch(chain(7..=9), 0, Lsn(9)));
+        assert_eq!(seg.coalesce(), (3, 3));
+        let base = &seg.pages[&PageId(0)];
+        assert_eq!(base.lsn, Lsn(9));
+        assert_ne!(base.bytes(), &before[..]);
+        assert_eq!(served.bytes(), &before[..]);
+        assert_eq!(served.lsn, Lsn(6));
     }
 
     /// ROADMAP 2(a), without a simulator: batch b1 (LSNs 1–3) lands on

@@ -25,7 +25,7 @@ const PATTERNS: [&str; 6] = [
 const PINNED: [(&str, usize); 7] = [
     ("baseline", 3),
     ("bench", 25),
-    ("core", 24),
+    ("core", 21),
     ("log", 3),
     ("quorum", 2),
     ("sim", 15),

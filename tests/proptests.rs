@@ -417,3 +417,183 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// buffer pool: the recency list picks the victims a full scan would
+// ---------------------------------------------------------------------
+
+use aurora::core::BufferPool;
+
+/// The pool's eviction rule as a full scan: every frame carries the tick
+/// of its last use, and a victim is the smallest tick among the frames
+/// the rule allows.
+#[derive(Default)]
+struct ScanPool {
+    /// id → (page LSN, last use, dirty)
+    frames: std::collections::HashMap<u64, (u64, u64, bool)>,
+    tick: u64,
+    evictions: u64,
+}
+
+impl ScanPool {
+    fn oldest(&self, evictable: impl Fn(u64) -> bool) -> Option<u64> {
+        self.frames
+            .iter()
+            .filter(|(id, f)| **id != 0 && evictable(f.0))
+            .min_by_key(|(_, f)| f.1)
+            .map(|(id, _)| *id)
+    }
+
+    fn touch(&mut self, id: u64, dirty: bool) {
+        self.tick += 1;
+        if let Some(f) = self.frames.get_mut(&id) {
+            f.1 = self.tick;
+            f.2 |= dirty;
+        }
+    }
+
+    /// Insert without evicting; a resident frame keeps its recency and
+    /// takes the newer LSN.
+    fn insert_unchecked(&mut self, id: u64, lsn: u64) {
+        if let Some(f) = self.frames.get_mut(&id) {
+            f.0 = f.0.max(lsn);
+            return;
+        }
+        self.tick += 1;
+        self.frames.insert(id, (lsn, self.tick, false));
+    }
+
+    fn evict_one(&mut self, vdl: u64) -> bool {
+        match self.oldest(|lsn| lsn <= vdl) {
+            Some(id) => {
+                self.frames.remove(&id);
+                self.evictions += 1;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn insert(&mut self, id: u64, lsn: u64, vdl: u64, capacity: usize) -> bool {
+        if !self.frames.contains_key(&id) && self.frames.len() >= capacity && !self.evict_one(vdl) {
+            return false;
+        }
+        self.insert_unchecked(id, lsn);
+        true
+    }
+
+    fn lru_victim(&self) -> Option<(PageId, bool)> {
+        let id = self.oldest(|_| true)?;
+        Some((PageId(id), self.frames[&id].2))
+    }
+}
+
+#[derive(Debug, Clone)]
+enum PoolOp {
+    Get(u64),
+    GetMut(u64),
+    /// id, page LSN, VDL
+    Insert(u64, u64, u64),
+    /// `insert_unchecked` past capacity, then `shrink_to_capacity(vdl)`
+    Overshoot(Vec<(u64, u64)>, u64),
+    SetLsn(u64, u64),
+    Remove(u64),
+    Clear,
+}
+
+fn arb_pool_op() -> impl Strategy<Value = PoolOp> {
+    const PAGES: u64 = 12;
+    prop_oneof![
+        (0u64..PAGES).prop_map(PoolOp::Get),
+        (0u64..PAGES).prop_map(PoolOp::GetMut),
+        (0u64..PAGES, 0u64..20, 0u64..20).prop_map(|(id, lsn, vdl)| PoolOp::Insert(id, lsn, vdl)),
+        (
+            proptest::collection::vec((0u64..PAGES, 0u64..20), 1..6),
+            0u64..20
+        )
+            .prop_map(|(pages, vdl)| PoolOp::Overshoot(pages, vdl)),
+        (0u64..PAGES, 0u64..20).prop_map(|(id, lsn)| PoolOp::SetLsn(id, lsn)),
+        (0u64..PAGES).prop_map(PoolOp::Remove),
+        Just(PoolOp::Clear),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+    #[test]
+    fn buffer_pool_victims_match_the_full_scan_rule(
+        capacity in 1usize..6,
+        ops in proptest::collection::vec(arb_pool_op(), 1..200),
+    ) {
+        let page = |lsn: u64| {
+            let mut p = Page::new();
+            p.lsn = Lsn(lsn);
+            p
+        };
+        let mut pool = BufferPool::new(capacity);
+        let mut model = ScanPool::default();
+        // page 0, the meta page, is always resident, as in the engines
+        pool.insert_unchecked(PageId(0), page(0));
+        model.insert_unchecked(0, 0);
+        for op in ops {
+            match op {
+                PoolOp::Get(id) => {
+                    prop_assert_eq!(pool.get(PageId(id)).is_some(), model.frames.contains_key(&id));
+                    model.touch(id, false);
+                }
+                PoolOp::GetMut(id) => {
+                    prop_assert_eq!(pool.get_mut(PageId(id)).is_some(), model.frames.contains_key(&id));
+                    model.touch(id, true);
+                }
+                PoolOp::Insert(id, lsn, vdl) => {
+                    let ok = pool.insert(PageId(id), page(lsn), Lsn(vdl)).is_ok();
+                    prop_assert_eq!(ok, model.insert(id, lsn, vdl, capacity));
+                }
+                PoolOp::Overshoot(pages, vdl) => {
+                    for (id, lsn) in pages {
+                        pool.insert_unchecked(PageId(id), page(lsn));
+                        model.insert_unchecked(id, lsn);
+                    }
+                    pool.shrink_to_capacity(Lsn(vdl));
+                    while model.frames.len() > capacity && model.evict_one(vdl) {}
+                }
+                PoolOp::SetLsn(id, lsn) => {
+                    pool.set_lsn(PageId(id), Lsn(lsn));
+                    if let Some(f) = model.frames.get_mut(&id) {
+                        f.0 = f.0.max(lsn);
+                    }
+                }
+                PoolOp::Remove(id) => {
+                    let removed = pool.remove(PageId(id)).map(|p| p.lsn);
+                    let expect = model.frames.remove(&id).map(|f| Lsn(f.0));
+                    if expect.is_some() {
+                        model.evictions += 1;
+                    }
+                    prop_assert_eq!(removed, expect);
+                    if id == 0 {
+                        pool.insert_unchecked(PageId(0), page(0));
+                        model.insert_unchecked(0, 0);
+                    }
+                }
+                PoolOp::Clear => {
+                    pool.clear();
+                    model.frames.clear();
+                    pool.insert_unchecked(PageId(0), page(0));
+                    model.insert_unchecked(0, 0);
+                }
+            }
+            let resident: std::collections::BTreeMap<u64, Lsn> = model
+                .frames
+                .iter()
+                .map(|(id, f)| (*id, Lsn(f.0)))
+                .collect();
+            let in_pool: std::collections::BTreeMap<u64, Lsn> = (0..12)
+                .filter_map(|id| pool.peek(PageId(id)).map(|p| (id, p.lsn)))
+                .collect();
+            prop_assert_eq!(pool.len(), resident.len());
+            prop_assert_eq!(in_pool, resident);
+            prop_assert_eq!(pool.evictions, model.evictions);
+            prop_assert_eq!(pool.lru_victim(), model.lru_victim());
+        }
+    }
+}
